@@ -36,7 +36,6 @@ from .risk import (
 )
 from .scms import (
     DivergenceError,
-    RidgePoint,
     RidgeSet,
     ScmsConfig,
     extract_ridge,
@@ -52,7 +51,6 @@ __all__ = [
     "LossPair",
     "Manifold",
     "PointCloud",
-    "RidgePoint",
     "RidgeSet",
     "RiskCurve",
     "RiskEstimate",

@@ -6,7 +6,12 @@ reproduced exactly from its outputs.  Diagnostics go to stderr; the exit
 code is 0 iff the outputs were written.
 
 Options may also be supplied through a ``key=value`` config file via
-``--config``; explicit flags win over the file.
+``--config``.  Each key names a flag of the subcommand, spelt with ``-``
+or ``_`` (``noise-sigma`` or ``noise_sigma``), and each line stands for
+that flag with its value, so values are converted and checked exactly as
+on the command line.  Flags given on the command line win over the file,
+an unknown key is an error, and the switch ``emit_ridge`` takes ``true``
+or ``false``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .coverage import Manifold, coverage_cdf, hausdorff, loss_pair
 from .datasets import KINDS, SyntheticSpec, generate, load_csv
 from .kde import PointCloud, normal_reference_bandwidth
 from .risk import select_bandwidth
-from .scms import RidgeSet, ScmsConfig, extract_ridge
+from .scms import ScmsConfig, extract_ridge
 
 try:
     _VERSION = version("ridgecover")
@@ -82,54 +87,38 @@ def _parse_params(items):
     return params or None
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = {}
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The flags of ``parser`` that a ``key=value`` config file stands for."""
+    flags = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
+        key, val = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        # argparse has no public lookup from an option string to its action
+        action = parser._option_string_actions.get(flag)
+        if action is None or flag in ("--config", "--help"):
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if action.nargs != 0:
+            flags.append(f"{flag}={val}")
+        elif val.lower() == "true":
+            flags.append(flag)
+        elif val.lower() != "false":
+            raise ValueError(f"{path}:{lineno}: {key} takes true or false, got {val!r}")
+    return flags
 
 
-_TRUE = {"1", "true", "yes", "on"}
-
-
-def _resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
-    """Merge flag values, config-file values and defaults (flags win)."""
-    out = {}
-    for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            out[key] = cli_val
-        elif key in file_cfg:
-            raw = file_cfg[key]
-            if isinstance(default, bool):
-                out[key] = raw.lower() in _TRUE
-            elif isinstance(default, int) and not isinstance(default, bool):
-                out[key] = int(raw)
-            elif isinstance(default, float):
-                out[key] = float(raw)
-            else:
-                out[key] = raw
-        else:
-            out[key] = default
-    return out
-
-
-def _scms_config(opts: dict) -> ScmsConfig:
-    mesh, res = _parse_mesh(opts["mesh"])
+def _scms_config(args: argparse.Namespace) -> ScmsConfig:
+    mesh, res = _parse_mesh(args.mesh)
     return ScmsConfig(
-        max_iterations=opts["max_iters"],
-        tolerance=opts["tolerance"],
+        max_iterations=args.max_iters,
+        tolerance=args.tolerance,
         mesh=mesh,
         grid_resolution=res,
-        density_threshold_fraction=opts["threshold_frac"],
+        density_threshold_fraction=args.threshold_frac,
     )
 
 
@@ -146,37 +135,28 @@ def _load_cloud(path: str, columns) -> PointCloud:
 
 
 def _add_scms_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, help="SCMS stop tolerance (default 1e-6*h)")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="SCMS iteration cap")
-    p.add_argument("--mesh", help="SCMS mesh: data | grid:<res>")
+    p.add_argument("--tolerance", type=float, default=ScmsConfig.tolerance,
+                   help="SCMS stop tolerance (default 1e-6*h)")
+    p.add_argument("--max-iters", dest="max_iters", type=int,
+                   default=ScmsConfig.max_iterations, help="SCMS iteration cap")
+    p.add_argument("--mesh", default=ScmsConfig.mesh, help="SCMS mesh: data | grid:<res>")
     p.add_argument("--threshold-frac", dest="threshold_frac", type=float,
+                   default=ScmsConfig.density_threshold_fraction,
                    help="density filter as a fraction of the peak")
 
 
-_SCMS_DEFAULTS = {
-    "tolerance": None,
-    "max_iters": 500,
-    "mesh": "data",
-    "threshold_frac": 0.05,
-}
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    defaults = {"kind": None, "n": 1000, "noise_sigma": None, "seed": 0,
-                "output_dir": "."}
-    opts = _resolve(args, file_cfg, defaults)
-    if opts["kind"] is None:
+    if args.kind is None:
         raise ValueError(f"gen requires --kind; valid kinds: {', '.join(KINDS)}")
     spec = SyntheticSpec(
-        kind=opts["kind"],
-        n=opts["n"],
-        noise_sigma=opts["noise_sigma"],
+        kind=args.kind,
+        n=args.n,
+        noise_sigma=args.noise_sigma,
         params=_parse_params(args.param),
-        seed=opts["seed"],
+        seed=args.seed,
     )
     cloud, truth = generate(spec)
-    out = Path(opts["output_dir"])
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     cloud.save_csv(out / "sample.csv")
     PointCloud(truth.points).save_csv(out / "truth.csv")
@@ -187,24 +167,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_ridge(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    defaults = {"input": None, "h": None, "columns": None, "output_dir": ".",
-                **_SCMS_DEFAULTS}
-    opts = _resolve(args, file_cfg, defaults)
-    if opts["input"] is None:
+    if args.input is None:
         raise ValueError("ridge requires --input")
-    if opts["h"] is None or opts["h"] <= 0.0:
+    if args.h is None or args.h <= 0.0:
         raise ValueError("ridge requires a positive --h")
-    cloud = _load_cloud(opts["input"], opts["columns"])
-    cfg = _scms_config(opts)
-    ridge = extract_ridge(cloud, opts["h"], cfg)
-    out = Path(opts["output_dir"])
+    cloud = _load_cloud(args.input, args.columns)
+    cfg = _scms_config(args)
+    ridge = extract_ridge(cloud, args.h, cfg)
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ridge.save_csv(out / "ridge.csv", d=cloud.d)
+    ridge.save_csv(out / "ridge.csv")
     _write_json(out / "ridge.json", {
         "command": "ridge",
-        "input": str(opts["input"]),
-        "h": opts["h"],
+        "input": str(args.input),
+        "h": args.h,
         **ridge.metadata(cfg),
     })
     if len(ridge) == 0:
@@ -214,39 +190,33 @@ def cmd_ridge(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    defaults = {"input": None, "grid": None, "method": "split", "objective": "l1",
-                "replicates": 10, "seed": 0, "columns": None, "output_dir": ".",
-                "emit_ridge": False, "workers": None, **_SCMS_DEFAULTS}
-    opts = _resolve(args, file_cfg, defaults)
-    if opts["input"] is None:
+    if args.input is None:
         raise ValueError("select requires --input")
-    cloud = _load_cloud(opts["input"], opts["columns"])
-    if opts["grid"] is None:
+    cloud = _load_cloud(args.input, args.columns)
+    if args.grid is None:
         h_bar = normal_reference_bandwidth(cloud)
         grid = np.geomspace(h_bar / 20.0, h_bar, 12)
     else:
-        grid = _parse_span(opts["grid"], "--grid")
-    cfg = _scms_config(opts)
-    rng = np.random.default_rng(opts["seed"])
-    workers = int(opts["workers"]) if opts["workers"] is not None else None
-    curve = select_bandwidth(cloud, grid, method=opts["method"],
-                             objective=opts["objective"], cfg=cfg, rng=rng,
-                             replicates=opts["replicates"], workers=workers)
-    out = Path(opts["output_dir"])
+        grid = _parse_span(args.grid, "--grid")
+    cfg = _scms_config(args)
+    rng = np.random.default_rng(args.seed)
+    curve = select_bandwidth(cloud, grid, method=args.method,
+                             objective=args.objective, cfg=cfg, rng=rng,
+                             replicates=args.replicates, workers=args.workers)
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     curve.save_csv(out / "risk_curve.csv")
     curve.save_json(out / "select.json", extra={
         "command": "select",
-        "input": str(opts["input"]),
-        "seed": opts["seed"],
+        "input": str(args.input),
+        "seed": args.seed,
         "config": cfg.to_dict(),
         "version": _VERSION,
     })
     _log(f"selected h_star={curve.h_star} (cap h_bar={curve.h_bar})")
-    if opts["emit_ridge"]:
+    if args.emit_ridge:
         ridge = extract_ridge(cloud, curve.h_star, cfg)
-        ridge.save_csv(out / "ridge.csv", d=cloud.d)
+        ridge.save_csv(out / "ridge.csv")
         _write_json(out / "ridge.json", {
             "command": "select --emit-ridge",
             "h": curve.h_star,
@@ -258,20 +228,17 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    defaults = {"radii": None, "columns": None, "output_dir": "."}
-    opts = _resolve(args, file_cfg, defaults)
-    cols = _parse_columns(opts["columns"])
+    cols = _parse_columns(args.columns)
     a = Manifold(load_csv(args.manifold_a, columns=cols).points)
     b = Manifold(load_csv(args.manifold_b, columns=cols).points)
     haus = hausdorff(a, b)
-    if opts["radii"] is None:
+    if args.radii is None:
         radii = np.linspace(0.0, haus, 64)
     else:
-        radii = _parse_span(opts["radii"], "--radii")
+        radii = _parse_span(args.radii, "--radii")
     diagram = coverage_cdf(a, b, radii)
     losses = loss_pair(a, b)
-    out = Path(opts["output_dir"])
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     diagram.save_csv(out / "coverage.csv")
     _write_json(out / "compare.json", {
@@ -296,14 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset with ground truth")
     p.add_argument("--kind", help=f"dataset kind: {' | '.join(KINDS)}")
-    p.add_argument("--n", type=int, help="sample size")
+    p.add_argument("--n", type=int, default=1000, help="sample size")
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
                    help="noise standard deviation (default: 5%% of curve extent)")
     p.add_argument("--param", action="append",
                    help="curve parameter override, name=value (repeatable)")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--output-dir", dest="output_dir", help="output directory")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--output-dir", dest="output_dir", default=".", help="output directory")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ridge", help="extract the density ridge at a fixed bandwidth")
@@ -311,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, help="bandwidth")
     p.add_argument("--columns", help="comma-separated column names to use")
     _add_scms_flags(p)
-    p.add_argument("--output-dir", dest="output_dir", help="output directory")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--output-dir", dest="output_dir", default=".", help="output directory")
     p.set_defaults(func=cmd_ridge)
 
     p = sub.add_parser("select", help="select the bandwidth by estimated coverage risk")
@@ -320,19 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="bandwidth grid min:max:count[:geom|lin] "
                                   "(default: 12 geometric points up to the normal "
                                   "reference cap)")
-    p.add_argument("--method", choices=["split", "bootstrap"], help="risk estimator")
-    p.add_argument("--replicates", type=int, help="bootstrap replicates")
-    p.add_argument("--objective", choices=["l1", "l2"], help="risk objective")
-    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--method", choices=["split", "bootstrap"], default="split",
+                   help="risk estimator")
+    p.add_argument("--replicates", type=int, default=10, help="bootstrap replicates")
+    p.add_argument("--objective", choices=["l1", "l2"], default="l1", help="risk objective")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--workers", type=int,
                    help="parallel workers for grid evaluation (default: all cores); "
                         "results are identical for any setting")
     p.add_argument("--columns", help="comma-separated column names to use")
-    p.add_argument("--emit-ridge", dest="emit_ridge", action="store_const", const=True,
+    p.add_argument("--emit-ridge", dest="emit_ridge", action="store_true",
                    help="also extract and write the ridge at the selected bandwidth")
     _add_scms_flags(p)
-    p.add_argument("--output-dir", dest="output_dir", help="output directory")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--output-dir", dest="output_dir", default=".", help="output directory")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("compare", help="coverage diagram and losses for two manifolds")
@@ -342,17 +307,29 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: 64 linear points up to the Hausdorff "
                                    "distance)")
     p.add_argument("--columns", help="comma-separated column names to use")
-    p.add_argument("--output-dir", dest="output_dir", help="output directory")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--output-dir", dest="output_dir", default=".", help="output directory")
     p.set_defaults(func=cmd_compare)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key=value config file; keys are this command's "
+                                        "flag names (- or _), unknown keys are an error, "
+                                        "flags given here win over the file, and "
+                                        "switches (select's emit_ridge) take true or false")
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # The file's flags go right after the subcommand, so flags
+            # given on the command line come later and win.
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.config, args.parser)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         _log(f"error: {exc}")

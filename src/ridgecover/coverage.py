@@ -28,11 +28,6 @@ __all__ = [
     "hausdorff",
 ]
 
-# Above this size a k-d tree locates nearest neighbours; distances are
-# recomputed with the linear-scan formula so both paths agree bitwise.
-_LINEAR_SCAN_MAX = 1024
-_QUERY_CHUNK = 512
-
 # Absolute slack for the Jensen inequality check, covering float
 # round-off when the distance distribution is (near-)degenerate.
 _JENSEN_SLACK = 1e-12
@@ -81,19 +76,12 @@ def _check_pair(a: Manifold, b: Manifold) -> None:
 def _nearest_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each query row to its nearest point of ``points``.
 
-    Small sets use a chunked linear scan; large sets locate the
-    neighbour with a k-d tree and recompute the distance with the same
-    sqrt-of-sum formula, keeping the two paths bit-identical.
+    A k-d tree locates the nearest neighbour of every query; the
+    distance is then recomputed as the square root of the summed squared
+    coordinate differences, so it equals a brute-force scan's
+    ``sqrt(min(sum((q - p)**2)))`` bit for bit.
     """
-    if points.shape[0] <= _LINEAR_SCAN_MAX:
-        out = np.empty(queries.shape[0])
-        for start in range(0, queries.shape[0], _QUERY_CHUNK):
-            sl = slice(start, min(start + _QUERY_CHUNK, queries.shape[0]))
-            sq = np.sum((queries[sl, None, :] - points[None, :, :]) ** 2, axis=2)
-            out[sl] = np.sqrt(np.min(sq, axis=1))
-        return out
-    tree = cKDTree(points)
-    _, idx = tree.query(queries, k=1, workers=1)
+    _, idx = cKDTree(points).query(queries, k=1, workers=1)
     return np.sqrt(np.sum((queries - points[idx]) ** 2, axis=1))
 
 

@@ -28,8 +28,6 @@ __all__ = [
     "normal_reference_bandwidth",
 ]
 
-KERNELS = ("gaussian",)
-
 # Queries are processed in blocks of this many rows to bound the size of
 # the (chunk, n, d) difference tensor and keep it cache resident.
 # Chunking does not change results.
@@ -94,21 +92,18 @@ class PointCloud:
 class KernelModel:
     """A point cloud plus bandwidth: the fitted density estimate.
 
-    Only the Gaussian kernel is supported; ``bandwidth`` is a single
-    isotropic scale in the same units as the coordinates.
+    The kernel is Gaussian; ``bandwidth`` is a single isotropic scale in
+    the same units as the coordinates.
     """
 
     data: PointCloud
     bandwidth: float
-    kernel: str = "gaussian"
 
     def __post_init__(self):
         h = float(self.bandwidth)
         if not np.isfinite(h) or h <= 0.0:
             raise ValueError(f"bandwidth must be positive and finite, got {h}")
         object.__setattr__(self, "bandwidth", h)
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; supported: {KERNELS}")
 
     @property
     def n(self) -> int:

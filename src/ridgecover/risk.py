@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import LossPair, loss_pair
+from .coverage import _JENSEN_SLACK, LossPair, loss_pair
 from .kde import KernelModel, PointCloud, normal_reference_bandwidth, sample_smoothed
 from .scms import RidgeSet, ScmsConfig, extract_ridge
 
@@ -40,8 +40,6 @@ INFINITE_RISK = float("inf")
 
 METHODS = ("split", "bootstrap")
 OBJECTIVES = ("l1", "l2")
-
-_JENSEN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -273,7 +271,8 @@ def select_bandwidth(
     Grid points above the normal reference bandwidth are dropped before
     evaluation; if nothing is left that is an error reporting the cap.
     Both L1 and L2 estimates are recorded at every surviving grid point;
-    ``objective`` decides the argmin and ties go to the smallest h.
+    ``objective`` decides the argmin and ties go to the smallest h; if
+    the risk is infinite at every grid point that is an error too.
     Each grid point gets its own spawned RNG stream and may be evaluated
     in parallel; the curve does not depend on ``workers``.
     """
@@ -303,12 +302,11 @@ def select_bandwidth(
     )
     values = [e.risk1 if objective == "l1" else e.risk2 for e in entries]
     best = min(values)
+    if not math.isfinite(best):
+        raise ValueError(
+            "estimated risk is infinite at every grid bandwidth "
+            "(the ridge came out empty at each h)"
+        )
     h_star = min(e.h for e, v in zip(entries, values) if v == best)
     return RiskCurve(entries=tuple(entries), h_bar=h_bar, h_star=h_star,
                      objective=objective)
-
-
-def default_grid(data: PointCloud, count: int = 12) -> np.ndarray:
-    """Geometric bandwidth grid from h_bar/20 up to h_bar."""
-    h_bar = normal_reference_bandwidth(data)
-    return np.geomspace(h_bar / 20.0, h_bar, count)

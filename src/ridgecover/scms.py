@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .kde import KernelModel, PointCloud, _kernel_sums, _norm_const
 __all__ = [
     "DivergenceError",
     "ScmsConfig",
-    "RidgePoint",
     "RidgeSet",
     "scms_step",
     "extract_ridge",
@@ -95,78 +94,65 @@ class ScmsConfig:
 
 
 @dataclass(frozen=True)
-class RidgePoint:
-    """A converged SCMS trajectory endpoint with its diagnostics."""
-
-    position: np.ndarray
-    density: float
-    projected_gradient_norm: float
-    lambda2: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class RidgeSet:
     """Retained ridge points: the discretized ridge estimate.
 
-    Every retained point converged, has a negative second Hessian
-    eigenvalue, and has density >= ``density_threshold`` (an absolute
-    value, already scaled from the configured fraction).  An empty
-    ``points`` list flags that every trajectory diverged or was
-    filtered; callers treat that as a sentinel, not an error.
+    Row i of ``positions`` (k, d) is a converged SCMS endpoint, in mesh
+    order; ``density``, ``projected_gradient_norm``, ``lambda2`` and
+    ``iterations`` hold its diagnostics as length-k arrays.  Every
+    retained point has a negative second Hessian eigenvalue and density
+    >= ``density_threshold`` (an absolute value, already scaled from the
+    configured fraction).  An empty set keeps ``positions`` of shape
+    (0, d) and flags that every trajectory diverged or was filtered;
+    callers treat that as a sentinel, not an error.
     """
 
-    points: tuple[RidgePoint, ...]
+    positions: np.ndarray
+    density: np.ndarray
+    projected_gradient_norm: np.ndarray
+    lambda2: np.ndarray
+    iterations: np.ndarray
     bandwidth: float
     density_threshold: float
     source_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        for p in self.points:
-            if not p.converged or p.density < self.density_threshold:
-                raise ValueError("retained ridge point violates the RidgeSet contract")
+        k = len(self.positions)
+        columns = (self.density, self.projected_gradient_norm, self.lambda2, self.iterations)
+        if np.ndim(self.positions) != 2 or any(np.shape(c) != (k,) for c in columns):
+            raise ValueError("ridge arrays must have one row per retained point")
+        if np.any(self.density < self.density_threshold):
+            raise ValueError("a retained density lies below density_threshold")
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """(k, d) array of retained positions, in mesh order."""
-        if not self.points:
-            return np.empty((0, 0))
-        return np.stack([p.position for p in self.points])
+        return len(self.positions)
 
     def to_manifold(self, intrinsic_dim: int = 1):
         from .coverage import Manifold
 
-        if not self.points:
+        if len(self) == 0:
             raise ValueError("empty ridge set has no manifold representation")
         return Manifold(self.positions, intrinsic_dim=intrinsic_dim)
 
-    def save_csv(self, path, d: int | None = None) -> None:
+    def save_csv(self, path) -> None:
         """Write positions plus per-point diagnostics as CSV."""
-        if self.points:
-            d = self.points[0].position.shape[0]
-        elif d is None:
-            d = 0
-        cols = [f"x{a}" for a in range(d)]
+        cols = [f"x{a}" for a in range(self.positions.shape[1])]
         cols += ["density", "projected_gradient_norm", "lambda2"]
+        table = np.column_stack(
+            [self.positions, self.density, self.projected_gradient_norm, self.lambda2]
+        )
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
-            for p in self.points:
-                row = [repr(float(v)) for v in p.position]
-                row += [repr(p.density), repr(p.projected_gradient_norm), repr(p.lambda2)]
-                writer.writerow(row)
+            for row in table.tolist():
+                writer.writerow([repr(v) for v in row])
 
     def metadata(self, cfg: ScmsConfig | None = None) -> dict:
         meta = {
             "bandwidth": self.bandwidth,
             "density_threshold": self.density_threshold,
             "source_size": self.source_size,
-            "n_ridge_points": len(self.points),
+            "n_ridge_points": len(self),
         }
         if cfg is not None:
             meta["config"] = cfg.to_dict()
@@ -304,7 +290,6 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     x = mesh.copy()
     nq = x.shape[0]
     converged = np.zeros(nq, dtype=bool)
-    failed = np.zeros(nq, dtype=bool)
     iters = np.zeros(nq, dtype=int)
     active = np.arange(nq)
 
@@ -317,8 +302,7 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
         x[active] = x_next
         done = ok & (disp < tol)
         converged[active[done]] = True
-        failed[active[~ok]] = True
-        active = active[~(done | ~ok)]
+        active = active[ok & ~done]
 
     # Final diagnostics at the trajectory endpoints.  Membership uses the
     # plain Hessian eigenvalues; the convergence residual uses the same
@@ -341,30 +325,22 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     data_density = (
         _kernel_sums(data.points, data.points, h, order=0)[0] * norm
     )
-    ok_points = converged & ~failed
-    candidates = ok_points & (lam2 < 0.0)
+    candidates = converged & (lam2 < 0.0)
     if data.d >= 2:
         candidates &= lam[:, 0] > lam[:, 1]
     peak = float(max(
-        dens[ok_points].max() if np.any(ok_points) else 0.0,
+        dens[converged].max() if np.any(converged) else 0.0,
         data_density.max(),
     ))
     threshold = cfg.density_threshold_fraction * peak
     retained = candidates & (dens >= threshold)
 
-    points = tuple(
-        RidgePoint(
-            position=x[i].copy(),
-            density=float(dens[i]),
-            projected_gradient_norm=float(pg_norm[i]),
-            lambda2=float(lam2[i]),
-            iterations=int(iters[i]),
-            converged=True,
-        )
-        for i in np.flatnonzero(retained)
-    )
     return RidgeSet(
-        points=points,
+        positions=x[retained],
+        density=dens[retained],
+        projected_gradient_norm=pg_norm[retained],
+        lambda2=lam2[retained],
+        iterations=iters[retained],
         bandwidth=h,
         density_threshold=threshold,
         source_size=data.n,

@@ -107,7 +107,8 @@ class TestRidge:
                     "--output-dir", out]) == 0
         assert "empty" in capsys.readouterr().err
         rows = read(out / "ridge.csv").strip().splitlines()
-        assert len(rows) == 1  # header only
+        # header only, still naming both coordinates
+        assert rows == ["x0,x1,density,projected_gradient_norm,lambda2"]
 
     def test_grid_mesh_flag(self, ring_csv, tmp_path):
         out = tmp_path / "gridmesh"
@@ -144,6 +145,14 @@ class TestSelect:
         assert code != 0
         assert "h_bar" in capsys.readouterr().err
 
+    def test_all_infinite_risk_exits_2(self, tmp_path, capsys):
+        # two far clusters of coincident points: every ridge is empty
+        src = tmp_path / "clusters.csv"
+        src.write_text("x0,x1\n" + "0.0,0.0\n" * 4 + "100.0,100.0\n" * 4)
+        assert run(["select", "--input", src, "--grid", "0.5:1:2",
+                    "--output-dir", tmp_path / "sel"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_emit_ridge(self, ring_csv, tmp_path):
         out = tmp_path / "emit"
         assert run(["select", "--input", ring_csv, "--grid", "0.2:0.3:2",
@@ -173,6 +182,59 @@ class TestSelect:
         assert run(["select", "--input", ring_csv, "--config", cfg,
                     "--seed", "4", "--output-dir", b]) == 0
         assert json.loads(read(b / "select.json"))["seed"] == 4
+
+
+class TestConfigFile:
+    """Config keys stand for flags, so argparse types and checks them."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return path
+
+    def test_ridge_bandwidth_is_a_float(self, ring_csv, tmp_path):
+        cfg = self.write(tmp_path, "h=0.3\n")
+        out = tmp_path / "ridge"
+        assert run(["ridge", "--input", ring_csv, "--config", cfg,
+                    "--output-dir", out]) == 0
+        assert json.loads(read(out / "ridge.json"))["h"] == 0.3
+
+    def test_gen_noise_sigma_is_a_float(self, tmp_path):
+        cfg = self.write(tmp_path, "kind=noisy_circle\nn=50\nnoise_sigma=0.1\n")
+        out = tmp_path / "gen"
+        assert run(["gen", "--config", cfg, "--output-dir", out]) == 0
+        spec = json.loads(read(out / "gen.json"))["spec"]
+        assert spec["noise_sigma"] == 0.1
+        assert spec["n"] == 50
+
+    def test_select_tolerance_is_a_float(self, ring_csv, tmp_path):
+        cfg = self.write(tmp_path, "grid=0.2:0.3:2\ntolerance=1e-5\n")
+        out = tmp_path / "sel"
+        assert run(["select", "--input", ring_csv, "--config", cfg,
+                    "--output-dir", out]) == 0
+        tolerance = json.loads(read(out / "select.json"))["config"]["tolerance"]
+        assert tolerance == 1e-5 and isinstance(tolerance, float)
+
+    def test_emit_ridge_true_and_false(self, ring_csv, tmp_path):
+        for value in ("true", "false"):
+            cfg = self.write(tmp_path, f"grid=0.2:0.2:1\nemit-ridge={value}\n")
+            out = tmp_path / value
+            assert run(["select", "--input", ring_csv, "--config", cfg,
+                        "--output-dir", out]) == 0
+            assert (out / "ridge.csv").exists() == (value == "true")
+
+    def test_unknown_key_exits_2(self, ring_csv, tmp_path, capsys):
+        cfg = self.write(tmp_path, "h=0.3\nbandwidth=0.3\n")
+        assert run(["ridge", "--input", ring_csv, "--config", cfg,
+                    "--output-dir", tmp_path]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "ridge.csv").exists()
+
+    def test_bad_value_exits_2(self, ring_csv, tmp_path):
+        cfg = self.write(tmp_path, "h=wide\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["ridge", "--input", ring_csv, "--config", cfg, "--output-dir", tmp_path])
+        assert exc.value.code == 2
 
 
 class TestCompare:

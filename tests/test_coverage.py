@@ -88,15 +88,17 @@ class TestDistanceToSet:
 
 class TestSpatialIndexAgreement:
     def test_tree_path_bit_identical_to_linear_scan(self):
-        # m > 1024 triggers the k-d tree; distances must match the scan
-        # exactly because they are recomputed with the same formula.
+        # The k-d tree only picks the neighbour; the distance is
+        # recomputed with the scan's formula, so the two match exactly
+        # for every set size and dimension.
         rng = np.random.default_rng(3)
-        pts = rng.standard_normal((2000, 2))
-        queries = rng.standard_normal((300, 2)) * 1.5
-        via_tree = _nearest_dists(queries, pts)
-        sq = np.sum((queries[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        via_scan = np.sqrt(np.min(sq, axis=1))
-        np.testing.assert_array_equal(via_tree, via_scan)
+        for m, d in ((2000, 2), (1, 1), (40, 1), (1024, 1), (1, 3), (40, 3), (1024, 3)):
+            pts = rng.standard_normal((m, d))
+            queries = rng.standard_normal((300, d)) * 1.5
+            via_tree = _nearest_dists(queries, pts)
+            sq = np.sum((queries[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+            via_scan = np.sqrt(np.min(sq, axis=1))
+            np.testing.assert_array_equal(via_tree, via_scan)
 
     def test_large_sets_against_brute_force(self):
         rng = np.random.default_rng(4)

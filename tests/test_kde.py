@@ -304,7 +304,3 @@ class TestKernelModel:
         for h in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 KernelModel(cloud, h)
-
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            KernelModel(PointCloud(np.zeros((2, 1))), 1.0, kernel="tophat")

@@ -195,6 +195,13 @@ class TestSelectBandwidth:
         b = select_bandwidth(cloud, grid, rng=np.random.default_rng(42))
         assert a == b
 
+    def test_all_infinite_risk_rejected(self):
+        # two far clusters of coincident points: at every grid h each
+        # half-sample ridge is empty (tied eigenvalues at both modes)
+        data = PointCloud(np.repeat([[0.0, 0.0], [100.0, 100.0]], 4, axis=0))
+        with pytest.raises(ValueError, match="infinite at every grid bandwidth"):
+            select_bandwidth(data, [0.5, 1.0], rng=np.random.default_rng(0))
+
     def test_bad_method_or_objective(self):
         cloud = ring_cloud(n=50)
         with pytest.raises(ValueError):

@@ -92,7 +92,7 @@ class TestExtractRidge:
         cloud = ring_cloud(n=500)
         ridge = extract_ridge(cloud, 0.25, ScmsConfig(density_threshold_fraction=0.05))
         assert ridge.density_threshold > 0.0
-        assert all(p.density >= ridge.density_threshold for p in ridge.points)
+        assert np.all(ridge.density >= ridge.density_threshold)
         # a higher fraction retains a subset
         strict = extract_ridge(cloud, 0.25, ScmsConfig(density_threshold_fraction=0.5))
         assert strict.density_threshold == pytest.approx(
@@ -112,9 +112,8 @@ class TestExtractRidge:
         cloud = PointCloud(np.tile([[1.5]], (5, 1)))
         ridge = extract_ridge(cloud, 0.3)
         assert len(ridge) >= 1
-        for p in ridge.points:
-            assert p.position[0] == pytest.approx(1.5, abs=1e-9)
-            assert p.lambda2 < 0.0
+        np.testing.assert_allclose(ridge.positions[:, 0], 1.5, rtol=0, atol=1e-9)
+        assert np.all(ridge.lambda2 < 0.0)
 
     def test_fixed_point_residual(self):
         # after convergence the projected gradient norm is bounded by the
@@ -125,8 +124,7 @@ class TestExtractRidge:
         ridge = extract_ridge(cloud, h, cfg)
         tol = cfg.resolved_tolerance(h)
         assert len(ridge) > 0
-        for p in ridge.points:
-            assert p.projected_gradient_norm <= 10.0 * tol * p.density / h**2
+        assert np.all(ridge.projected_gradient_norm <= 10.0 * tol * ridge.density / h**2)
 
     def test_trajectories_stay_in_padded_bounding_box(self):
         cloud = ring_cloud(n=400)
@@ -142,12 +140,9 @@ class TestExtractRidge:
         a = extract_ridge(cloud, 0.3)
         b = extract_ridge(cloud, 0.3)
         assert len(a) == len(b)
-        np.testing.assert_array_equal(a.positions, b.positions)
-        for pa, pb in zip(a.points, b.points):
-            assert pa.density == pb.density
-            assert pa.projected_gradient_norm == pb.projected_gradient_norm
-            assert pa.lambda2 == pb.lambda2
-            assert pa.iterations == pb.iterations
+        for name in ("positions", "density", "projected_gradient_norm", "lambda2",
+                     "iterations"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_translation_equivariance(self):
         cloud = ring_cloud(n=300)
@@ -167,10 +162,12 @@ class TestExtractRidge:
 
     def test_retained_points_converged_with_negative_lambda2(self):
         cloud = ring_cloud(n=400)
-        ridge = extract_ridge(cloud, 0.25)
-        for p in ridge.points:
-            assert p.converged
-            assert p.lambda2 < 0.0
+        cfg = ScmsConfig()
+        ridge = extract_ridge(cloud, 0.25, cfg)
+        assert len(ridge) > 0
+        assert np.all(ridge.lambda2 < 0.0)
+        # a trajectory is retained only if it stopped before the cap
+        assert np.all((ridge.iterations >= 1) & (ridge.iterations <= cfg.max_iterations))
 
     def test_mesh_order_preserved(self):
         # retained positions appear in mesh (= data) order
@@ -196,8 +193,8 @@ class TestExtractRidge:
         # every retained ridge position must be one of the sequentially
         # computed endpoints, in order
         idx = 0
-        for p in ridge.points:
-            while idx < len(finals) and not np.array_equal(finals[idx], p.position):
+        for position in ridge.positions:
+            while idx < len(finals) and not np.array_equal(finals[idx], position):
                 idx += 1
             assert idx < len(finals), "ridge positions out of mesh order"
             idx += 1
@@ -223,15 +220,26 @@ class TestScmsConfig:
 
 
 class TestRidgeSetType:
-    def test_contract_enforced(self):
-        from ridgecover import RidgePoint
-
-        bad = RidgePoint(
-            position=np.zeros(2), density=0.0, projected_gradient_norm=0.0,
-            lambda2=-1.0, iterations=3, converged=False,
+    @staticmethod
+    def arrays(density=0.5):
+        return dict(
+            positions=np.zeros((2, 2)), density=np.full(2, density),
+            projected_gradient_norm=np.zeros(2), lambda2=np.full(2, -1.0),
+            iterations=np.full(2, 3),
         )
+
+    def test_contract_enforced(self):
+        meta = dict(bandwidth=0.2, density_threshold=0.1, source_size=5)
+        assert len(RidgeSet(**self.arrays(), **meta)) == 2
+        # a retained density below the threshold
         with pytest.raises(ValueError):
-            RidgeSet(points=(bad,), bandwidth=0.2, density_threshold=0.1, source_size=5)
+            RidgeSet(**self.arrays(density=0.05), **meta)
+        # diagnostics whose length differs from the number of positions
+        for name in ("density", "projected_gradient_norm", "lambda2", "iterations"):
+            arrays = self.arrays()
+            arrays[name] = arrays[name][:1]
+            with pytest.raises(ValueError):
+                RidgeSet(**arrays, **meta)
 
     def test_csv_serialization(self, tmp_path):
         cloud = ring_cloud(n=200)
@@ -242,8 +250,9 @@ class TestRidgeSetType:
         assert rows[0] == "x0,x1,density,projected_gradient_norm,lambda2"
         assert len(rows) == len(ridge) + 1
         first = [float(v) for v in rows[1].split(",")]
-        np.testing.assert_array_equal(first[:2], ridge.points[0].position)
-        assert first[2] == ridge.points[0].density
+        np.testing.assert_array_equal(first[:2], ridge.positions[0])
+        assert first[2:] == [ridge.density[0], ridge.projected_gradient_norm[0],
+                             ridge.lambda2[0]]
 
     def test_json_metadata(self, tmp_path):
         import json
@@ -263,6 +272,6 @@ class TestRidgeSetType:
         cloud = PointCloud(np.tile([[0.0, 0.0]], (5, 1)))
         ridge = extract_ridge(cloud, 0.5)
         assert len(ridge) == 0
-        assert ridge.positions.shape[0] == 0
+        assert ridge.positions.shape == (0, 2)
         with pytest.raises(ValueError):
             ridge.to_manifold()
