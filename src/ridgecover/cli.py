@@ -17,18 +17,19 @@ or ``false``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
+from ._io import write_json
 from .coverage import Manifold, coverage_cdf, hausdorff, loss_pair
 from .datasets import KINDS, SyntheticSpec, generate, load_csv
 from .kde import PointCloud, normal_reference_bandwidth
 from .risk import select_bandwidth
-from .scms import ScmsConfig, extract_ridge
+from .scms import RidgeSet, ScmsConfig, extract_ridge
 
 try:
     _VERSION = version("ridgecover")
@@ -123,11 +124,16 @@ def _scms_config(args: argparse.Namespace) -> ScmsConfig:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = _VERSION
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {**payload, "version": _VERSION})
+
+
+def _write_ridge(out: Path, ridge: RidgeSet, cfg: ScmsConfig, fields: dict) -> None:
+    """Write ``ridge.csv`` and ``ridge.json``, the latter with ``fields`` added."""
+    ridge.save_csv(out / "ridge.csv")
+    _write_json(out / "ridge.json", {**fields, **ridge.metadata(cfg)})
+    if len(ridge) == 0:
+        _log("warning: ridge is empty (all trajectories diverged or were filtered)")
+    _log(f"wrote {out / 'ridge.csv'} ({len(ridge)} points)")
 
 
 def _load_cloud(path: str, columns) -> PointCloud:
@@ -160,7 +166,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cloud.save_csv(out / "sample.csv")
     PointCloud(truth.points).save_csv(out / "truth.csv")
-    _write_json(out / "gen.json", {"command": "gen", "spec": spec.to_dict()})
+    _write_json(out / "gen.json", {"command": "gen", "spec": asdict(spec)})
     _log(f"wrote {out / 'sample.csv'} ({cloud.n} rows), "
          f"{out / 'truth.csv'} ({truth.m} rows)")
     return 0
@@ -176,16 +182,8 @@ def cmd_ridge(args: argparse.Namespace) -> int:
     ridge = extract_ridge(cloud, args.h, cfg)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ridge.save_csv(out / "ridge.csv")
-    _write_json(out / "ridge.json", {
-        "command": "ridge",
-        "input": str(args.input),
-        "h": args.h,
-        **ridge.metadata(cfg),
-    })
-    if len(ridge) == 0:
-        _log("warning: ridge is empty (all trajectories diverged or were filtered)")
-    _log(f"wrote {out / 'ridge.csv'} ({len(ridge)} points)")
+    _write_ridge(out, ridge, cfg,
+                 {"command": "ridge", "input": str(args.input), "h": args.h})
     return 0
 
 
@@ -210,19 +208,16 @@ def cmd_select(args: argparse.Namespace) -> int:
         "command": "select",
         "input": str(args.input),
         "seed": args.seed,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "version": _VERSION,
     })
     _log(f"selected h_star={curve.h_star} (cap h_bar={curve.h_bar})")
     if args.emit_ridge:
-        ridge = extract_ridge(cloud, curve.h_star, cfg)
-        ridge.save_csv(out / "ridge.csv")
-        _write_json(out / "ridge.json", {
-            "command": "select --emit-ridge",
-            "h": curve.h_star,
-            **ridge.metadata(cfg),
-        })
-        _log(f"wrote {out / 'ridge.csv'} ({len(ridge)} points)")
+        ridge = next(e.ridge for e in curve.entries if e.h == curve.h_star)
+        if ridge is None:  # data splitting fitted only the halves
+            ridge = extract_ridge(cloud, curve.h_star, cfg)
+        _write_ridge(out, ridge, cfg,
+                     {"command": "select --emit-ridge", "h": curve.h_star})
     _log(f"wrote {out / 'risk_curve.csv'} ({len(curve.entries)} bandwidths)")
     return 0
 

@@ -11,11 +11,13 @@ upper-bounds every coverage distance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from ._io import write_csv
+from .kde import _as_points
 
 __all__ = [
     "Manifold",
@@ -35,24 +37,12 @@ _JENSEN_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class Manifold:
-    """A manifold discretized by a mesh of points.
-
-    ``intrinsic_dim`` is declared metadata (curve = 1, surface = 2, ...)
-    and does not affect any computation here.
-    """
+    """A manifold discretized by a nonempty (m, d) mesh of finite points."""
 
     points: np.ndarray
-    intrinsic_dim: int = 1
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError(f"mesh must be a nonempty (m, d) array, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("mesh contains non-finite coordinates")
-        pts = pts.copy()
+        pts = _as_points(self.points).copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -185,11 +175,8 @@ class CoverageDiagram:
             object.__setattr__(self, name, frozen)
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "cdf_12", "cdf_21"])
-            for r, c12, c21 in zip(self.radii, self.cdf_12, self.cdf_21):
-                writer.writerow([repr(float(r)), repr(float(c12)), repr(float(c21))])
+        write_csv(path, ["r", "cdf_12", "cdf_21"],
+                  zip(self.radii, self.cdf_12, self.cdf_21))
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,6 @@ class SyntheticSpec:
             merged.update({k: float(v) for k, v in self.params.items()})
         object.__setattr__(self, "params", merged)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "noise_sigma": self.noise_sigma,
-            "params": dict(self.params),
-            "seed": self.seed,
-        }
-
 
 def _spiral_points(t: np.ndarray, pitch: float) -> np.ndarray:
     r = pitch * t
@@ -170,7 +161,7 @@ def generate(spec: SyntheticSpec) -> tuple[PointCloud, Manifold]:
         c.sample(cnt, rng) for c, cnt in zip(curves, counts) if cnt > 0
     ])
     noisy = clean + sigma * rng.standard_normal(clean.shape)
-    return PointCloud(noisy), Manifold(mesh, intrinsic_dim=1)
+    return PointCloud(noisy), Manifold(mesh)
 
 
 def _parse_row(row: list[str]) -> list[float] | None:

@@ -13,10 +13,11 @@ bit-identical across chunk sizes and thread settings.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._io import write_csv
 
 __all__ = [
     "PointCloud",
@@ -74,18 +75,9 @@ class PointCloud:
     def __len__(self) -> int:
         return self.n
 
-    def save_csv(self, path, header: bool = True) -> None:
-        """Write the cloud as CSV, one row per point.
-
-        Float values are written with ``repr`` so a load/save cycle
-        round-trips bit-exactly.
-        """
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if header:
-                writer.writerow([f"x{a}" for a in range(self.d)])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
+    def save_csv(self, path) -> None:
+        """Write the cloud as CSV, one row per point, round-tripping bit-exactly."""
+        write_csv(path, [f"x{a}" for a in range(self.d)], self.points.tolist())
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,9 @@ class KernelModel:
     """A point cloud plus bandwidth: the fitted density estimate.
 
     The kernel is Gaussian; ``bandwidth`` is a single isotropic scale in
-    the same units as the coordinates.
+    the same units as the coordinates.  A bandwidth is rejected when the
+    density, gradient or Hessian scale (``norm``, ``norm/h``,
+    ``norm/h**2``) is not a finite float, since no estimate exists there.
     """
 
     data: PointCloud
@@ -103,6 +97,16 @@ class KernelModel:
         h = float(self.bandwidth)
         if not np.isfinite(h) or h <= 0.0:
             raise ValueError(f"bandwidth must be positive and finite, got {h}")
+        try:  # h**d can underflow to 0 or overflow
+            norm = _norm_const(self.data.n, self.data.d, h)
+            finite = all(np.isfinite(s) for s in (norm, norm / h, norm / h**2))
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"bandwidth {h} gives no finite density scale for n={self.data.n}, "
+                f"d={self.data.d}"
+            )
         object.__setattr__(self, "bandwidth", h)
 
     @property

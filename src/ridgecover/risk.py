@@ -10,19 +10,22 @@ rule, which is known to oversmooth.
 
 Bandwidths whose ridge comes out empty receive an infinite-risk
 sentinel so the minimizer simply avoids them.
+
+The bootstrap's full-data ridge at h is also the ridge a caller wants
+once h is chosen, so each bootstrap estimate carries it as ``ridge``.
+Data splitting never fits the full data and leaves ``ridge`` as None.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .coverage import _JENSEN_SLACK, LossPair, loss_pair
 from .kde import KernelModel, PointCloud, normal_reference_bandwidth, sample_smoothed
 from .scms import RidgeSet, ScmsConfig, extract_ridge
@@ -44,13 +47,20 @@ OBJECTIVES = ("l1", "l2")
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Estimated L1/L2 coverage risk at one bandwidth."""
+    """Estimated L1/L2 coverage risk at one bandwidth.
+
+    ``ridge`` is the ridge fitted on the full data at ``h`` when the
+    estimator fitted one (the bootstrap's base ridge, possibly empty),
+    and None for data splitting, which fits only the two halves.  It
+    takes no part in ``==`` or hashing.
+    """
 
     h: float
     risk1: float
     risk2: float
     method: str
     replicates: int
+    ridge: RidgeSet | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -96,11 +106,8 @@ class RiskCurve:
         return [e.risk2 for e in self.entries]
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["h", "risk1", "risk2", "method"])
-            for e in self.entries:
-                writer.writerow([repr(e.h), repr(e.risk1), repr(e.risk2), e.method])
+        write_csv(path, ["h", "risk1", "risk2", "method"],
+                  ((e.h, e.risk1, e.risk2, e.method) for e in self.entries))
 
     def summary(self) -> dict:
         return {
@@ -113,12 +120,7 @@ class RiskCurve:
         }
 
     def save_json(self, path, extra: dict | None = None) -> None:
-        payload = self.summary()
-        if extra:
-            payload.update(extra)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {**self.summary(), **(extra or {})})
 
 
 def _ridge_losses(a: RidgeSet, b: RidgeSet) -> LossPair | None:
@@ -212,7 +214,8 @@ def risk_bootstrap(
 
     Fits the ridge on the full data, then for each replicate draws n
     points from the fitted KDE, refits, and measures the coverage losses
-    between the replicate ridge and the original one.  Each replicate
+    between the replicate ridge and the original one.  The full-data
+    ridge is returned as the estimate's ``ridge``.  Each replicate
     draws from its own spawned RNG stream and replicate losses are
     averaged with an exact sum, so the result depends on neither the
     evaluation order nor ``workers``.
@@ -253,6 +256,7 @@ def risk_bootstrap(
         risk2=math.fsum(loss2s) / replicates,
         method="bootstrap",
         replicates=replicates,
+        ridge=base,
     )
 
 

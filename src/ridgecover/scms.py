@@ -17,13 +17,13 @@ module reuses from :mod:`ridgecover.kde`.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._io import write_csv
+from .coverage import Manifold
 from .kde import KernelModel, PointCloud, _kernel_sums, _norm_const
 
 __all__ = [
@@ -36,6 +36,11 @@ __all__ = [
 
 # Default stopping tolerance on the displacement norm, as a fraction of h.
 DEFAULT_TOLERANCE_FACTOR = 1e-6
+
+# Largest grid mesh accepted.  Each SCMS step costs (mesh points) x n
+# kernel terms, so a larger grid would not finish in useful time; the
+# check also runs before the mesh is allocated.
+_MAX_GRID_POINTS = 1_000_000
 
 
 class DivergenceError(RuntimeError):
@@ -53,7 +58,8 @@ class ScmsConfig:
     step; ``None`` means 1e-6 * h, resolved when the bandwidth is known.
     ``mesh`` selects the initial points: ``"data"`` starts one
     trajectory per data point, ``"grid"`` builds an axis-aligned grid
-    over the data bounding box with spacing <= ``grid_resolution``.
+    over the data bounding box with spacing <= ``grid_resolution`` and
+    at most 10**6 points.
     Retained ridge points must have density at least
     ``density_threshold_fraction`` times the maximum fitted density.
     """
@@ -82,15 +88,6 @@ class ScmsConfig:
         if self.tolerance is not None:
             return float(self.tolerance)
         return DEFAULT_TOLERANCE_FACTOR * h
-
-    def to_dict(self) -> dict:
-        return {
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "mesh": self.mesh,
-            "grid_resolution": self.grid_resolution,
-            "density_threshold_fraction": self.density_threshold_fraction,
-        }
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,10 @@ class RidgeSet:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def to_manifold(self, intrinsic_dim: int = 1):
-        from .coverage import Manifold
-
+    def to_manifold(self) -> Manifold:
         if len(self) == 0:
             raise ValueError("empty ridge set has no manifold representation")
-        return Manifold(self.positions, intrinsic_dim=intrinsic_dim)
+        return Manifold(self.positions)
 
     def save_csv(self, path) -> None:
         """Write positions plus per-point diagnostics as CSV."""
@@ -141,11 +136,7 @@ class RidgeSet:
         table = np.column_stack(
             [self.positions, self.density, self.projected_gradient_norm, self.lambda2]
         )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in table.tolist():
-                writer.writerow([repr(v) for v in row])
+        write_csv(path, cols, table.tolist())
 
     def metadata(self, cfg: ScmsConfig | None = None) -> dict:
         meta = {
@@ -155,13 +146,8 @@ class RidgeSet:
             "n_ridge_points": len(self),
         }
         if cfg is not None:
-            meta["config"] = cfg.to_dict()
+            meta["config"] = asdict(cfg)
         return meta
-
-    def save_json(self, path, cfg: ScmsConfig | None = None) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.metadata(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _descending_eigh(mats: np.ndarray):
@@ -256,13 +242,17 @@ def _build_mesh(data: PointCloud, cfg: ScmsConfig) -> np.ndarray:
     res = float(cfg.grid_resolution)
     lo = data.points.min(axis=0)
     hi = data.points.max(axis=0)
-    axes = []
-    for a in range(data.d):
-        if hi[a] > lo[a]:
-            count = int(math.ceil((hi[a] - lo[a]) / res)) + 1
-            axes.append(np.linspace(lo[a], hi[a], max(count, 2)))
-        else:
-            axes.append(np.array([lo[a]]))
+    # Counts stay floats until their product is checked: a tiny
+    # resolution makes them huge or infinite.
+    counts = [max(float(np.ceil(float(b - a) / res)) + 1.0, 2.0) if b > a else 1.0
+              for a, b in zip(lo, hi)]
+    size = math.prod(counts)
+    if size > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid mesh at resolution {res} would have {size:.3g} points; "
+            f"the limit is {_MAX_GRID_POINTS}"
+        )
+    axes = [np.linspace(a, b, int(c)) for a, b, c in zip(lo, hi, counts)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from ridgecover import load_csv
+from ridgecover import cli, load_csv
 from ridgecover.cli import main
 
 
@@ -20,6 +20,13 @@ def run(args):
 
 def read(path):
     return path.read_text()
+
+
+@pytest.fixture()
+def three_point_csv(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("x0,x1\n0.0,0.0\n1.0,0.0\n0.0,1.0\n")
+    return path
 
 
 @pytest.fixture()
@@ -116,6 +123,21 @@ class TestRidge:
                     "--mesh", "grid:0.5", "--output-dir", out]) == 0
         assert len(read(out / "ridge.csv").strip().splitlines()) > 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--h", "1e-300"],  # h**2 underflows to 0
+        ["--h", "1e-160"],  # the density scale overflows
+        # 1e18 and infinitely many grid points: refused before allocation
+        ["--h", "0.5", "--mesh", "grid:1e-9"],
+        ["--h", "0.5", "--mesh", "grid:1e-320"],
+    ], ids=["h-underflow", "h-overflow", "grid-1e-9", "grid-1e-320"])
+    def test_unusable_bandwidth_or_mesh_exits_2(self, three_point_csv, tmp_path,
+                                                capsys, flags):
+        out = tmp_path / "ridge"
+        assert run(["ridge", "--input", three_point_csv, *flags,
+                    "--output-dir", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSelect:
     def test_selects_and_reports(self, ring_csv, tmp_path):
@@ -159,6 +181,23 @@ class TestSelect:
                     "--seed", "1", "--emit-ridge", "--output-dir", out]) == 0
         assert (out / "ridge.csv").exists()
         assert (out / "ridge.json").exists()
+
+    def test_bootstrap_emit_ridge_reuses_risk_ridge(self, ring_csv, tmp_path,
+                                                    monkeypatch):
+        ref = tmp_path / "ref"
+        assert run(["ridge", "--input", ring_csv, "--h", "0.25",
+                    "--output-dir", ref]) == 0
+
+        def refit(*args, **kwargs):
+            raise AssertionError("select refitted the bootstrap's ridge")
+
+        monkeypatch.setattr(cli, "extract_ridge", refit)
+        out = tmp_path / "boot"
+        assert run(["select", "--input", ring_csv, "--method", "bootstrap",
+                    "--replicates", "1", "--grid", "0.25:0.25:1", "--seed", "1",
+                    "--emit-ridge", "--output-dir", out]) == 0
+        assert read(out / "ridge.csv") == read(ref / "ridge.csv")
+        assert json.loads(read(out / "ridge.json"))["h"] == 0.25
 
     def test_bootstrap_method(self, ring_csv, tmp_path):
         out = tmp_path / "boot"

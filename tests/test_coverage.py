@@ -289,7 +289,3 @@ class TestManifold:
             Manifold(np.empty((0, 2)))
         with pytest.raises(ValueError):
             Manifold(np.array([[np.nan, 0.0]]))
-
-    def test_intrinsic_dim_is_metadata(self):
-        m = Manifold(np.zeros((3, 2)), intrinsic_dim=2)
-        assert m.intrinsic_dim == 2

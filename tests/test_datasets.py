@@ -41,7 +41,6 @@ class TestGenerate:
         d = 3 if kind == "helix" else 2
         assert cloud.n == 50 and cloud.d == d
         assert truth.m >= 500 and truth.d == d
-        assert truth.intrinsic_dim == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_pure_in_spec(self, kind):

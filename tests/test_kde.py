@@ -300,7 +300,9 @@ class TestPointCloud:
 
 class TestKernelModel:
     def test_rejects_bad_bandwidth(self):
-        cloud = PointCloud(np.zeros((2, 1)))
-        for h in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                KernelModel(cloud, h)
+        for cloud in (PointCloud(np.zeros((2, 1))), PointCloud(np.eye(3)[:, :2])):
+            # 1e-300 underflows h**2 to 0; at 1e-160 the scales overflow
+            for h in (0.0, -1.0, np.inf, np.nan, 1e-300, 1e-160):
+                with pytest.raises(ValueError):
+                    KernelModel(cloud, h)
+            assert KernelModel(cloud, 1e-50).bandwidth == 1e-50

@@ -1,5 +1,6 @@
 """Tests for risk estimation and bandwidth selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ridgecover import (
     RiskEstimate,
     ScmsConfig,
     SyntheticSpec,
+    extract_ridge,
     generate,
     normal_reference_bandwidth,
     risk_bootstrap,
@@ -116,6 +118,16 @@ class TestRiskBootstrap:
         a = risk_bootstrap(cloud, 0.3, replicates=2, rng=np.random.default_rng(11))
         b = risk_bootstrap(cloud, 0.3, replicates=2, rng=np.random.default_rng(11))
         assert a == b
+
+    def test_carries_full_data_ridge(self):
+        cloud = ring_cloud(n=250)
+        est = risk_bootstrap(cloud, 0.3, replicates=1, rng=np.random.default_rng(5))
+        ridge = extract_ridge(cloud, 0.3)
+        for name in ("positions", "density", "projected_gradient_norm", "lambda2"):
+            np.testing.assert_array_equal(getattr(est.ridge, name), getattr(ridge, name))
+        # the ridge takes no part in equality; splitting fits no full ridge
+        assert est == dataclasses.replace(est, ridge=None)
+        assert risk_split(cloud, 0.3, rng=np.random.default_rng(5)).ridge is None
 
     def test_bad_replicates_rejected(self):
         with pytest.raises(ValueError):
@@ -227,7 +239,9 @@ class TestRiskTypes:
 
         entries = (
             RiskEstimate(h=0.1, risk1=0.2, risk2=0.06, method="split", replicates=1),
-            RiskEstimate(h=0.2, risk1=0.1, risk2=0.02, method="split", replicates=1),
+            # a numpy bandwidth, as from a np.geomspace grid, reads as a float
+            RiskEstimate(h=np.float64(0.2), risk1=0.1, risk2=0.02, method="split",
+                         replicates=1),
         )
         curve = RiskCurve(entries=entries, h_bar=0.5, h_star=0.2, objective="l1")
         csv_path = tmp_path / "curve.csv"

@@ -254,15 +254,11 @@ class TestRidgeSetType:
         assert first[2:] == [ridge.density[0], ridge.projected_gradient_norm[0],
                              ridge.lambda2[0]]
 
-    def test_json_metadata(self, tmp_path):
-        import json
-
+    def test_json_metadata(self):
         cloud = ring_cloud(n=150)
         cfg = ScmsConfig()
         ridge = extract_ridge(cloud, 0.3, cfg)
-        path = tmp_path / "ridge.json"
-        ridge.save_json(path, cfg)
-        meta = json.loads(path.read_text())
+        meta = ridge.metadata(cfg)
         assert meta["source_size"] == 150
         assert meta["bandwidth"] == 0.3
         assert meta["n_ridge_points"] == len(ridge)
