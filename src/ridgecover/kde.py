@@ -5,15 +5,28 @@ smoothed bootstrap: density, gradient and Hessian of an isotropic
 Gaussian KDE, exact sampling from the fitted estimate, and the normal
 reference bandwidth rule used as an upper cap for bandwidth search.
 
-Every evaluation is an exact O(n) kernel sum (no tree or FFT
-approximation).  All reductions run over the trailing axis of
-C-contiguous arrays and never go through BLAS, so results are
-bit-identical across chunk sizes and thread settings.
+Every evaluation is a kernel sum truncated at a cutoff of
+c = 7.4 bandwidths (exp(-c^2/2) ~ 1.3e-12): the data are binned into
+cells of side c*h, and a query sums only over its own and the adjacent
+cells.  Each leftover term has |u| > c along some axis, so n points
+change s0 by at most n e^(-c^2/2), and the gradient and Hessian sums by
+at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), plus round-off.  A query
+with no data in those cells gets exactly zero density.  When the cells
+would save little, the sum runs exactly over all the data.
+
+Every row is reduced on its own (a pairwise sum over a C-contiguous
+trailing axis, or one ``np.add.reduceat`` segment holding only that
+row's terms) and never through BLAS, so a row's value depends only on
+the data, h and that query: results are bit-identical across chunk
+sizes, batch make-up and thread settings.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +46,25 @@ __all__ = [
 # the (chunk, n, d) difference tensor and keep it cache resident.
 # Chunking does not change results.
 _CHUNK = 32
+
+# Cell side in bandwidths.  Only terms from beyond a query's adjacent
+# cells, so more than this many bandwidths away along some axis, are
+# dropped: exp(-7.4**2 / 2) ~ 1.3e-12, and exp is slow below about 1e-308.
+_CUTOFF = 7.4
+
+# Most (query, point) pairs evaluated at once on the truncated path; a
+# longer row forms a block of its own.  Order-2 sums timed alike from
+# 2^13 to 2^15 pairs (2 cores); 2^12 paid more per-call overhead, and
+# 2^16 raised the peak RSS of a circle-and-helix fit sequence by 6 MiB
+# more than 2^14 did (78.1 and 72.2 MiB against 70.7 MiB dense).
+_PAIR_BLOCK = 1 << 14
+
+# Queries are looked up this many rows at a time.  This bounds the
+# (rows, 3^k) int64 neighbour arrays, which for a grid mesh of up to
+# scms._MAX_GRID_POINTS = 10^6 queries in d=3 would otherwise take
+# hundreds of MiB.  The value: on the helix (d=3) select run, 256 rows
+# peaked 1 MiB below 1024 rows, with order-2 sums timed alike.
+_LOOKUP_ROWS = 256
 
 
 def _as_points(points) -> np.ndarray:
@@ -134,7 +166,7 @@ def _as_queries(model: KernelModel, x):
 
 
 def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
-    """Raw Gaussian sums over the data for each query row.
+    """Raw Gaussian sums over the data near each query row.
 
     With u_i = (x - X_i) / h and w_i = exp(-||u_i||^2 / 2), returns
 
@@ -142,9 +174,143 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
         s1[q, a]    = sum_i w_i u_i[a]          (order >= 1)
         s2[q, a, b] = sum_i w_i u_i[a] u_i[b]   (order >= 2)
 
-    Normalization constants are left to the callers.  Each reduction is
-    a pairwise sum over the trailing axis of a C-contiguous array, so
-    the per-row results do not depend on the chunk layout.
+    Normalization constants are left to the callers.  The data are
+    binned into cells of side ``_CUTOFF * h``, and each row sums only
+    over the data in its own and the adjacent cells (see :class:`_Cells`
+    for the bound on what is left out).  These candidates run as flat
+    (query, point) pairs in blocks of about ``_PAIR_BLOCK``, with the
+    elementwise operations of :func:`_dense_sums` and one
+    ``np.add.reduceat`` segment per row; a row without candidates gets
+    exact zeros.  A segment's reduction depends only on its contents, so
+    each row depends only on the data, h and that row, never on the
+    chunk size or the rest of the batch.
+
+    The whole call is instead the exact sum over all the data
+    (:func:`_dense_sums`) when the data span at most 3 cells on every
+    axis or the cell indices would not be exact.
+    """
+    cells = _Cells.build(points, h)
+    if cells is None:
+        return _dense_sums(points, queries, h, order)
+    nq, d = queries.shape
+    out = (np.zeros(nq), np.zeros((nq, d)) if order >= 1 else None,
+           np.zeros((nq, d, d)) if order >= 2 else None)
+    for start in range(0, nq, _LOOKUP_ROWS):
+        rows = np.arange(start, min(start + _LOOKUP_ROWS, nq))
+        first, count = cells.neighbours(queries[rows])
+        near = count.any(axis=1)  # the other rows keep their zeros
+        _pair_sums(cells, queries, h, order, out, rows[near], first[near], count[near])
+    return out
+
+
+class _Cells(NamedTuple):
+    """The data sorted into a grid of cubic cells of side ``_CUTOFF * h``.
+
+    The grid is anchored at the data minimum.  Only axes over which the
+    data span more than 3 cells are split; along the others every point
+    is a candidate.  A ring of two empty cells pads each split axis, and
+    a query outside the data is clipped to the inner ring, so the 3^k
+    neighbours of every query cell are valid cells.  A point outside a
+    query's neighbour cells lies more than one cell side away on some
+    axis, |u| > c = _CUTOFF, so what each row leaves out is at most
+
+        |ds0| <= n e^(-c^2/2),  |ds1| <= n c e^(-c^2/2),
+        |ds2| <= n c^2 e^(-c^2/2)
+
+    (x e^(-x^2/2) and x^2 e^(-x^2/2) decrease beyond 1 and sqrt 2), plus
+    round-off in the cell indices.  Clipped queries may get far
+    candidates too; their terms are computed exactly.
+    """
+
+    lo: np.ndarray  # (k,) grid origin on the split axes
+    side: float
+    axes: np.ndarray  # (k,) indices of the split axes
+    hi_cell: np.ndarray  # (k,) largest cell index a query is clipped to
+    strides: np.ndarray  # (k,) row-major strides of the linear cell key
+    offsets: np.ndarray  # (3^k,) key offsets of the neighbours, ascending
+    keys: np.ndarray  # (n,) sorted cell keys of the data
+    sorted_t: np.ndarray  # (d, n) data coordinates in key order, one row per axis
+
+    @classmethod
+    def build(cls, points: np.ndarray, h: float) -> "_Cells | None":
+        """Bin the data; None when the whole call should go dense."""
+        side = _CUTOFF * h
+        lo = points.min(axis=0)
+        cell = np.floor((points - lo) / side)
+        spans = cell.max(axis=0) + 1.0
+        axes = np.flatnonzero(spans > 3.0)
+        # Cell keys must be exact in float64 and in int64.
+        if axes.size == 0 or spans.max() > 2.0**52 or math.prod(spans[axes] + 4.0) > 2.0**62:
+            return None
+        dims = spans[axes].astype(np.int64) + 4
+        strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=axes.size))) @ strides
+        keys = (cell[:, axes].astype(np.int64) + 2) @ strides
+        order = np.argsort(keys, kind="stable")  # data order kept within a cell
+        return cls(lo[axes], side, axes, dims - 2, strides, offsets, keys[order],
+                   np.ascontiguousarray(points[order].T))
+
+    def neighbours(self, queries: np.ndarray):
+        """Per query and neighbour cell: first sorted index and point count."""
+        cell = np.floor((queries[:, self.axes] - self.lo) / self.side) + 2.0
+        cell = np.clip(cell, 1.0, self.hi_cell).astype(np.int64)
+        nkeys = (cell @ self.strides)[:, None] + self.offsets
+        first = np.searchsorted(self.keys, nkeys, side="left")
+        return first, np.searchsorted(self.keys, nkeys, side="right") - first
+
+
+def _pair_sums(cells: _Cells, queries, h, order, out, rows, first, count) -> None:
+    """Sum ``rows`` of ``queries`` over their candidates only, into ``out``.
+
+    Candidates run through the neighbour cells in key order, and through
+    each cell in data order.  A block holds whole rows.
+    """
+    d = queries.shape[1]
+    total = count.sum(axis=1)
+    ptr = np.concatenate(([0], np.cumsum(total)))
+    r = 0
+    while r < rows.size:
+        stop = max(int(np.searchsorted(ptr, ptr[r] + _PAIR_BLOCK, side="right")) - 1, r + 1)
+        sel = rows[r:stop]
+        cnt = count[r:stop].ravel()
+        # flat index p of run j maps to first_j + (p - start of run j)
+        shift = first[r:stop].ravel() - (np.cumsum(cnt) - cnt)
+        idx = np.repeat(shift, cnt) + np.arange(ptr[stop] - ptr[r])
+        rep = np.repeat(sel, total[r:stop])
+        seg = ptr[r:stop] - ptr[r]
+        dv = np.empty((d, idx.size))
+        for a in range(d):
+            np.subtract(queries[rep, a], cells.sorted_t[a, idx], out=dv[a])
+        dv /= h
+        w = dv[0] * dv[0]
+        tmp = np.empty_like(w)
+        for a in range(1, d):
+            np.multiply(dv[a], dv[a], out=tmp)
+            w += tmp
+        w *= -0.5
+        np.exp(w, out=w)
+        out[0][sel] = np.add.reduceat(w, seg)
+        if order >= 1:
+            pv = np.empty_like(w)
+            for a in range(d):
+                np.multiply(w, dv[a], out=pv)
+                out[1][sel, a] = np.add.reduceat(pv, seg)
+                if order >= 2:
+                    for b in range(a, d):
+                        np.multiply(pv, dv[b], out=tmp)
+                        v = np.add.reduceat(tmp, seg)
+                        out[2][sel, a, b] = v
+                        if b != a:
+                            out[2][sel, b, a] = v
+        r = stop
+
+
+def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
+    """Exact :func:`_kernel_sums` over all the data, ``_CHUNK`` rows at a time.
+
+    Each reduction is a pairwise sum over the trailing axis of a
+    C-contiguous array, so the per-row results do not depend on the
+    chunk layout.
     """
     nq, d = queries.shape
     n = points.shape[0]

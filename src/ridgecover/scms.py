@@ -46,8 +46,10 @@ _MAX_GRID_POINTS = 1_000_000
 class DivergenceError(RuntimeError):
     """Raised when an iterate leaves the support of the estimate.
 
-    Happens when the kernel sum underflows to zero at the query, so the
-    mean-shift target is undefined."""
+    Happens when the kernel sum is zero at the query, so the mean-shift
+    target is undefined: no data lie in the query's neighbouring cells
+    of side 7.4*h (see :mod:`ridgecover.kde`), or every kernel term
+    underflows."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class ScmsConfig:
         if self.mesh not in ("data", "grid"):
             raise ValueError(f"mesh must be 'data' or 'grid', got {self.mesh!r}")
         if self.mesh == "grid":
-            if self.grid_resolution is None or float(self.grid_resolution) <= 0.0:
+            if self.grid_resolution is None or not (float(self.grid_resolution) > 0.0):
                 raise ValueError("grid mesh requires a positive grid_resolution")
         if not 0.0 <= float(self.density_threshold_fraction) <= 1.0:
             raise ValueError("density_threshold_fraction must be in [0, 1]")
@@ -261,8 +263,11 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     """Run SCMS from every mesh point and collect the converged ridge.
 
     Each trajectory stops when its displacement norm drops below the
-    tolerance or after ``max_iterations`` steps.  Non-converged points
-    are discarded, as are points with a nonnegative second eigenvalue,
+    tolerance or after ``max_iterations`` steps.  A trajectory diverges
+    when it reaches a point with no data in its neighbouring cells of
+    side 7.4*h, where the truncated kernel sum is exactly zero.
+    Diverged and non-converged points are discarded, as are points
+    with a nonnegative second eigenvalue,
     points where the two leading eigenvalues tie exactly (ridge
     orientation undefined), and points whose density falls below
     ``density_threshold_fraction`` times the maximum fitted density over

@@ -129,13 +129,17 @@ class TestRidge:
         # 1e18 and infinitely many grid points: refused before allocation
         ["--h", "0.5", "--mesh", "grid:1e-9"],
         ["--h", "0.5", "--mesh", "grid:1e-320"],
-    ], ids=["h-underflow", "h-overflow", "grid-1e-9", "grid-1e-320"])
+        ["--h", "0.5", "--mesh", "grid:nan"],
+    ], ids=["h-underflow", "h-overflow", "grid-1e-9", "grid-1e-320", "grid-nan"])
     def test_unusable_bandwidth_or_mesh_exits_2(self, three_point_csv, tmp_path,
                                                 capsys, flags):
         out = tmp_path / "ridge"
         assert run(["ridge", "--input", three_point_csv, *flags,
                     "--output-dir", out]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if "grid:nan" in flags:
+            assert "grid_resolution" in err
         assert not out.exists()
 
 

@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ridgecover import (
+    DivergenceError,
     KernelModel,
     PointCloud,
     density,
@@ -18,7 +22,9 @@ from ridgecover import (
     hessian,
     normal_reference_bandwidth,
     sample_smoothed,
+    scms_step,
 )
+from ridgecover.kde import _CUTOFF, _PAIR_BLOCK, _Cells, _dense_sums, _kernel_sums
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -306,3 +312,180 @@ class TestKernelModel:
                 with pytest.raises(ValueError):
                     KernelModel(cloud, h)
             assert KernelModel(cloud, 1e-50).bandwidth == 1e-50
+
+
+def truncation_bounds(n):
+    """Largest |truncated - dense| allowed for s0, s1 and s2 at n points.
+
+    Leftover terms have |u| > c on some axis; every term is at most 1
+    in magnitude, so both sums also carry up to about log2(n) eps n of
+    round-off each.
+    """
+    tail = n * math.exp(-0.5 * _CUTOFF**2)
+    roundoff = 64 * np.finfo(float).eps * n
+    return [tail * _CUTOFF**k + roundoff for k in range(3)]
+
+
+def assert_within_truncation_bound(points, queries, h):
+    got = _kernel_sums(points, queries, h, order=2)
+    ref = _dense_sums(points, queries, h, order=2)
+    for k, (a, b, bound) in enumerate(zip(got, ref, truncation_bounds(len(points)))):
+        assert np.abs(a - b).max() <= bound, f"s{k}"
+
+
+def clustered_cloud(rng, d, n=300):
+    """80% of the points in a clump, the rest spread with a gap in x0.
+
+    At h = 0.1 the clump is about one cell wide, and no data lie within
+    four cells of x0 = 11.
+    """
+    clump = rng.uniform(0.0, 1.0, (int(0.8 * n), d))
+    spread = rng.uniform(0.0, 20.0, (n - len(clump), d))
+    spread[:, 0] = np.where(spread[:, 0] < 8.0, spread[:, 0], spread[:, 0] + 6.0)
+    return np.concatenate([clump, spread])
+
+
+class TestTruncatedSums:
+    def test_within_bound_of_dense(self):
+        rng = np.random.default_rng(101)
+        for d in (1, 2, 3):
+            pts = rng.uniform(0.0, 4.0, (300, d))
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            # from one cell per axis (all dense) to about 70 per axis
+            for h in (1.0, 0.15, 0.05, 0.0077):
+                side = _CUTOFF * h
+                assert (_Cells.build(pts, h) is None) == (h == 1.0)
+                inside = rng.uniform(lo, hi, (200, d))
+                outside = np.concatenate([
+                    lo - side * rng.uniform(0.1, 5.0, (30, d)),
+                    hi + side * rng.uniform(0.1, 5.0, (30, d)),
+                    rng.uniform(lo - 3 * side, hi + 3 * side, (60, d)),
+                ])
+                edges = lo + side * rng.integers(-2, int((hi - lo).max() / side) + 3, (60, d))
+                assert_within_truncation_bound(pts, np.concatenate([inside, outside, edges]), h)
+            # The s0 bound is tight: 300 points just over one cell side
+            # from a query at the top of its cell are all left out.
+            side = _CUTOFF * 0.1
+            pts = np.zeros((302, d))
+            pts[1:-1, 0] = 2 * side * (1 + 1e-9)
+            pts[-1, 0] = 10 * side
+            x = np.zeros((1, d))
+            x[0, 0] = side * (1 - 1e-9)
+            left_out = (_dense_sums(pts, x, 0.1, 0)[0] - _kernel_sums(pts, x, 0.1, 0)[0])[0]
+            tail = 300 * math.exp(-0.5 * _CUTOFF**2)
+            assert 0.99 * tail <= left_out <= truncation_bounds(302)[0]
+
+    def test_rows_independent_of_batch(self):
+        rng = np.random.default_rng(102)
+        for d in (1, 2, 3):
+            pts = clustered_cloud(rng, d)
+            h = 0.1
+            queries = np.concatenate([
+                rng.uniform(0.0, 1.0, (500, d)),  # most of the data near
+                rng.uniform(0.0, 20.0, (700, d)),  # few candidates
+                rng.uniform(10.7, 11.3, (20, d)),  # no candidates
+            ])
+            _, count = _Cells.build(pts, h).neighbours(queries)
+            total = count.sum(axis=1)
+            assert (total > 0.75 * len(pts)).any() and (total == 0).any()
+            assert ((total > 0) & (total < 0.1 * len(pts))).any()
+            ref = _kernel_sums(pts, queries, h, order=2)
+            perm = rng.permutation(len(queries))
+            shuffled = _kernel_sums(pts, queries[perm], h, order=2)
+            for a, b in zip(ref, shuffled):
+                np.testing.assert_array_equal(a[perm], b)
+            cuts = np.sort(rng.choice(np.arange(1, len(queries)), 12, replace=False))
+            for part in np.split(np.arange(len(queries)), cuts):
+                got = _kernel_sums(pts, queries[part], h, order=2)
+                for a, b in zip(ref, got):
+                    np.testing.assert_array_equal(a[part], b)
+            for i in rng.choice(len(queries), 25, replace=False):
+                got = _kernel_sums(pts, queries[i:i + 1], h, order=2)
+                for a, b in zip(ref, got):
+                    np.testing.assert_array_equal(a[i:i + 1], b)
+
+    def test_whole_call_dense_bit_identical(self):
+        rng = np.random.default_rng(103)
+        for d in (1, 2, 3):
+            # the data span at most 3 cells on every axis: no cells at all
+            pts = rng.uniform(0.0, 2.0, (200, d))
+            queries = rng.uniform(-3.0, 5.0, (150, d))
+            assert _Cells.build(pts, 0.1) is None
+            for order in (0, 1, 2):
+                got = _kernel_sums(pts, queries, 0.1, order)
+                for a, b in zip(got, _dense_sums(pts, queries, 0.1, order)):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_rows_longer_than_a_pair_block(self):
+        # 17,000 points in one cell: each query near them is a block of
+        # its own, and the rows still do not depend on the batch.
+        rng = np.random.default_rng(104)
+        pts = np.concatenate([rng.uniform(0.0, 0.5, 17000), rng.uniform(0.0, 10.0, 100)])[:, None]
+        queries = np.concatenate([rng.uniform(0.0, 0.5, 5), rng.uniform(0.0, 10.0, 5)])[:, None]
+        _, count = _Cells.build(pts, 0.1).neighbours(queries)
+        assert (count.sum(axis=1) > _PAIR_BLOCK).sum() >= 5
+        assert_within_truncation_bound(pts, queries, 0.1)
+        ref = _kernel_sums(pts, queries, 0.1, order=2)
+        for i in range(len(queries)):
+            row = _kernel_sums(pts, queries[i:i + 1], 0.1, order=2)
+            for a, b in zip(ref, row):
+                np.testing.assert_array_equal(a[i:i + 1], b)
+
+    def test_inexact_cell_index_falls_back_to_dense(self):
+        for pts, h in (
+            (np.array([[0.0], [1.0]]), 1e-60),  # 1e59 cells on the axis
+            (np.array([[0.0, 0.0], [1.0, 1.0]]), 1e-13),  # 2^40 per axis, 2^80 keys
+        ):
+            assert _Cells.build(pts, h) is None
+            queries = np.concatenate([pts, pts + 0.25])
+            got = _kernel_sums(pts, queries, h, order=2)
+            for a, b in zip(got, _dense_sums(pts, queries, h, order=2)):
+                assert np.all(np.isfinite(a))
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(got[0], [1.0, 1.0, 0.0, 0.0])
+
+    def test_query_without_nearby_data_has_zero_density(self):
+        h = 0.1
+        pts = np.array([[0.0, 0.0], [100 * h, 0.0]])
+        x = np.array([30 * h, 0.0])  # exp(-450) ~ 3.5e-196 from the first point
+        s0, s1, s2 = _kernel_sums(pts, x[None, :], h, order=2)
+        assert s0[0] == 0.0 and not s1.any() and not s2.any()
+        model = KernelModel(PointCloud(pts), h)
+        assert density(model, x) == 0.0
+        with pytest.raises(DivergenceError):
+            scms_step(model, x)
+
+
+# Property tests draw a fixed, small set of examples so the suite stays
+# fast and deterministic.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def clouds_and_queries(draw):
+    d = draw(st.integers(1, 3))
+    pts = draw(hnp.arrays(float, (draw(st.integers(1, 120)), d),
+                          elements=st.floats(-10.0, 10.0)))
+    queries = draw(hnp.arrays(float, (draw(st.integers(1, 40)), d),
+                              elements=st.floats(-15.0, 15.0)))
+    return pts, queries, draw(st.floats(0.01, 5.0))
+
+
+class TestTruncatedSumProperties:
+    @PROPERTY
+    @given(clouds_and_queries())
+    def test_within_bound_of_dense(self, case):
+        assert_within_truncation_bound(*case)
+
+    @PROPERTY
+    @given(clouds_and_queries())
+    def test_rows_independent_of_batch(self, case):
+        pts, queries, h = case
+        ref = _kernel_sums(pts, queries, h, order=2)
+        rev = _kernel_sums(pts, queries[::-1], h, order=2)
+        for a, b in zip(ref, rev):
+            np.testing.assert_array_equal(a[::-1], b)
+        for i in range(len(queries)):
+            row = _kernel_sums(pts, queries[i:i + 1], h, order=2)
+            for a, b in zip(ref, row):
+                np.testing.assert_array_equal(a[i:i + 1], b)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridgecover import (
     DivergenceError,
@@ -210,6 +212,9 @@ class TestScmsConfig:
             ScmsConfig(mesh="hexes")
         with pytest.raises(ValueError):
             ScmsConfig(mesh="grid")
+        for res in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="grid_resolution"):
+                ScmsConfig(mesh="grid", grid_resolution=res)
         with pytest.raises(ValueError):
             ScmsConfig(density_threshold_fraction=1.5)
 
@@ -271,3 +276,34 @@ class TestRidgeSetType:
         assert ridge.positions.shape == (0, 2)
         with pytest.raises(ValueError):
             ridge.to_manifold()
+
+
+# Fixed, small example sets keep the suite fast and deterministic.
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+class TestExtractRidgeProperties:
+    """Equivariance of the ridge on 80-point rings of radius 2.
+
+    Below about h = 0.2 the kernel sums are truncated.  Endpoints must
+    agree to 10 times the default stopping tolerance of 1e-6 * h.
+    """
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), h=st.floats(0.05, 0.4),
+           shift=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+    def test_translation(self, seed, h, shift):
+        cloud = ring_cloud(seed=seed, n=80)
+        a = extract_ridge(cloud, h)
+        b = extract_ridge(PointCloud(cloud.points + np.array(shift)), h)
+        assert len(a) == len(b)
+        assert np.abs(b.positions - np.array(shift) - a.positions).max(initial=0.0) <= 1e-5 * h
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), h=st.floats(0.05, 0.4), scale=st.floats(0.2, 5.0))
+    def test_scaling_data_and_bandwidth(self, seed, h, scale):
+        cloud = ring_cloud(seed=seed, n=80)
+        a = extract_ridge(cloud, h)
+        b = extract_ridge(PointCloud(cloud.points * scale), h * scale)
+        assert len(a) == len(b)
+        assert np.abs(b.positions / scale - a.positions).max(initial=0.0) <= 1e-5 * h
