@@ -7,12 +7,15 @@ reference bandwidth rule used as an upper cap for bandwidth search.
 
 Every evaluation is a kernel sum truncated at a cutoff of
 c = 7.4 bandwidths (exp(-c^2/2) ~ 1.3e-12): the data are binned into
-cells of side c*h, and a query sums only over its own and the adjacent
-cells.  Each leftover term has |u| > c along some axis, so n points
-change s0 by at most n e^(-c^2/2), and the gradient and Hessian sums by
-at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), plus round-off.  A query
-with no data in those cells gets exactly zero density.  When the cells
-would save little, the sum runs exactly over all the data.
+sub-cells of side c*h/2, and a query sums only over the box of sub-cells
+within two of its own along each axis (the linked-cell method of
+molecular dynamics).  Each leftover term has |u| > c along some axis,
+so n points change s0 by at most n e^(-c^2/2), and the gradient and
+Hessian sums by at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), plus
+round-off.  A query with no data in its box gets exactly zero density.
+When the cells would save little, the sum runs exactly over all the
+data.  A :class:`KernelModel` bins its data once, when first evaluated,
+and every later sum on that model reuses the same cells.
 
 Every row is reduced on its own (a pairwise sum over a C-contiguous
 trailing axis, or one ``np.add.reduceat`` segment holding only that
@@ -23,6 +26,7 @@ sizes, batch make-up and thread settings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,9 +51,10 @@ __all__ = [
 # Chunking does not change results.
 _CHUNK = 32
 
-# Cell side in bandwidths.  Only terms from beyond a query's adjacent
-# cells, so more than this many bandwidths away along some axis, are
-# dropped: exp(-7.4**2 / 2) ~ 1.3e-12, and exp is slow below about 1e-308.
+# Cutoff in bandwidths, two sub-cell sides.  Only terms from beyond a
+# query's box of sub-cells, so more than this many bandwidths away along
+# some axis, are dropped: exp(-7.4**2 / 2) ~ 1.3e-12, and exp is slow
+# below about 1e-308.
 _CUTOFF = 7.4
 
 # Most (query, point) pairs evaluated at once on the truncated path; a
@@ -60,9 +65,10 @@ _CUTOFF = 7.4
 _PAIR_BLOCK = 1 << 14
 
 # Queries are looked up this many rows at a time.  This bounds the
-# (rows, 3^k) int64 neighbour arrays, which for a grid mesh of up to
-# scms._MAX_GRID_POINTS = 10^6 queries in d=3 would otherwise take
-# hundreds of MiB.  The value: on the helix (d=3) select run, 256 rows
+# (rows, 5^(k-1)) int64 arrays of box rows, which for a grid mesh of up
+# to scms._MAX_GRID_POINTS = 10^6 queries in d=3 (25 box rows) would
+# otherwise take hundreds of MiB.  The value was measured with 27
+# full-cell neighbours a row: on the helix (d=3) select run, 256 rows
 # peaked 1 MiB below 1024 rows, with order-2 sums timed alike.
 _LOOKUP_ROWS = 256
 
@@ -149,6 +155,11 @@ class KernelModel:
     def d(self) -> int:
         return self.data.d
 
+    @functools.cached_property
+    def cells(self) -> "_Cells | None":
+        """The binned data every kernel sum of this model reuses; built once."""
+        return _Cells.build(self.data.points, self.bandwidth)
+
 
 def _as_queries(model: KernelModel, x):
     """Validate query points; return ((Q, d) array, was_single flag)."""
@@ -165,7 +176,12 @@ def _as_queries(model: KernelModel, x):
     return q, single
 
 
-def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
+# Default of ``_kernel_sums(cells=...)``: bin the data in this call.
+_UNBUILT = object()
+
+
+def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
+                 *, cells=_UNBUILT):
     """Raw Gaussian sums over the data near each query row.
 
     With u_i = (x - X_i) / h and w_i = exp(-||u_i||^2 / 2), returns
@@ -175,9 +191,12 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
         s2[q, a, b] = sum_i w_i u_i[a] u_i[b]   (order >= 2)
 
     Normalization constants are left to the callers.  The data are
-    binned into cells of side ``_CUTOFF * h``, and each row sums only
-    over the data in its own and the adjacent cells (see :class:`_Cells`
-    for the bound on what is left out).  These candidates run as flat
+    binned into sub-cells of side ``_CUTOFF * h / 2``, and each row sums
+    only over the data in the box of sub-cells within two of its own on
+    every split axis (see :class:`_Cells` for the bound on what is left
+    out).  ``cells`` holds that binning of ``points`` at ``h``; callers
+    with a :class:`KernelModel` pass its ``cells``, built once per
+    model, and without it the data are binned here.  Candidates run as flat
     (query, point) pairs in blocks of about ``_PAIR_BLOCK``, with the
     elementwise operations of :func:`_dense_sums` and one
     ``np.add.reduceat`` segment per row; a row without candidates gets
@@ -189,7 +208,8 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
     (:func:`_dense_sums`) when the data span at most 3 cells on every
     axis or the cell indices would not be exact.
     """
-    cells = _Cells.build(points, h)
+    if cells is _UNBUILT:
+        cells = _Cells.build(points, h)
     if cells is None:
         return _dense_sums(points, queries, h, order)
     nq, d = queries.shape
@@ -204,66 +224,77 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
 
 
 class _Cells(NamedTuple):
-    """The data sorted into a grid of cubic cells of side ``_CUTOFF * h``.
+    """The data sorted into a grid of cubic sub-cells of side ``_CUTOFF * h / 2``.
 
     The grid is anchored at the data minimum.  Only axes over which the
-    data span more than 3 cells are split; along the others every point
-    is a candidate.  A ring of two empty cells pads each split axis, and
-    a query outside the data is clipped to the inner ring, so the 3^k
-    neighbours of every query cell are valid cells.  A point outside a
-    query's neighbour cells lies more than one cell side away on some
-    axis, |u| > c = _CUTOFF, so what each row leaves out is at most
+    data span more than 3 cells of side c h (c = _CUTOFF) are split;
+    along the others every point is a candidate.  Each such cell holds
+    two sub-cells, and a ring of three empty sub-cells pads each split
+    axis.  A query's candidates are the data in the box of 5^k sub-cells
+    within two of its own on every split axis.  Keys run row-major, with
+    stride 1 on the last split axis, so each of the box's 5^(k-1) rows is
+    one merged run of keys [key-2, key+2] found by two binary searches.
+    A query outside the data is clipped to the innermost sub-cell of the
+    ring, so its box stays on the grid.
+
+    A point outside a query's box lies more than two sub-cells, so more
+    than c bandwidths, from it on some axis: |u| > c, and what each row
+    leaves out is at most
 
         |ds0| <= n e^(-c^2/2),  |ds1| <= n c e^(-c^2/2),
         |ds2| <= n c^2 e^(-c^2/2)
 
     (x e^(-x^2/2) and x^2 e^(-x^2/2) decrease beyond 1 and sqrt 2), plus
-    round-off in the cell indices.  Clipped queries may get far
-    candidates too; their terms are computed exactly.
+    round-off in the cell indices.  The box lies within the 3^k cells of
+    side c h around the query's cell, so it never holds more candidates
+    than they do.  Clipped queries may get far candidates too; their
+    terms are computed exactly.
     """
 
     lo: np.ndarray  # (k,) grid origin on the split axes
-    side: float
+    side: float  # sub-cell side, c h / 2
     axes: np.ndarray  # (k,) indices of the split axes
-    hi_cell: np.ndarray  # (k,) largest cell index a query is clipped to
-    strides: np.ndarray  # (k,) row-major strides of the linear cell key
-    offsets: np.ndarray  # (3^k,) key offsets of the neighbours, ascending
-    keys: np.ndarray  # (n,) sorted cell keys of the data
+    hi_cell: np.ndarray  # (k,) largest sub-cell index a query is clipped to
+    strides: np.ndarray  # (k,) row-major strides of the linear sub-cell key
+    offsets: np.ndarray  # (5^(k-1),) key offsets of the box rows, ascending
+    keys: np.ndarray  # (n,) sorted sub-cell keys of the data
     sorted_t: np.ndarray  # (d, n) data coordinates in key order, one row per axis
 
     @classmethod
     def build(cls, points: np.ndarray, h: float) -> "_Cells | None":
         """Bin the data; None when the whole call should go dense."""
-        side = _CUTOFF * h
+        side = 0.5 * _CUTOFF * h
         lo = points.min(axis=0)
         cell = np.floor((points - lo) / side)
-        spans = cell.max(axis=0) + 1.0
+        spans = np.floor(cell.max(axis=0) / 2.0) + 1.0  # in cells of side c h
         axes = np.flatnonzero(spans > 3.0)
-        # Cell keys must be exact in float64 and in int64.
-        if axes.size == 0 or spans.max() > 2.0**52 or math.prod(spans[axes] + 4.0) > 2.0**62:
+        dims = 2.0 * spans[axes] + 6.0
+        # Sub-cell keys must be exact in float64 and in int64.
+        if axes.size == 0 or dims.max() > 2.0**52 or math.prod(dims) > 2.0**62:
             return None
-        dims = spans[axes].astype(np.int64) + 4
+        dims = dims.astype(np.int64)
         strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=axes.size))) @ strides
-        keys = (cell[:, axes].astype(np.int64) + 2) @ strides
-        order = np.argsort(keys, kind="stable")  # data order kept within a cell
-        return cls(lo[axes], side, axes, dims - 2, strides, offsets, keys[order],
+        rows = np.array(list(itertools.product(range(-2, 3), repeat=axes.size - 1)),
+                        dtype=np.int64)
+        keys = (cell[:, axes].astype(np.int64) + 3) @ strides
+        order = np.argsort(keys, kind="stable")  # data order kept within a sub-cell
+        return cls(lo[axes], side, axes, dims - 3, strides, rows @ strides[:-1], keys[order],
                    np.ascontiguousarray(points[order].T))
 
     def neighbours(self, queries: np.ndarray):
-        """Per query and neighbour cell: first sorted index and point count."""
-        cell = np.floor((queries[:, self.axes] - self.lo) / self.side) + 2.0
-        cell = np.clip(cell, 1.0, self.hi_cell).astype(np.int64)
-        nkeys = (cell @ self.strides)[:, None] + self.offsets
-        first = np.searchsorted(self.keys, nkeys, side="left")
-        return first, np.searchsorted(self.keys, nkeys, side="right") - first
+        """Per query and box row: first sorted index and point count."""
+        cell = np.floor((queries[:, self.axes] - self.lo) / self.side) + 3.0
+        cell = np.clip(cell, 2.0, self.hi_cell).astype(np.int64)
+        rows = (cell @ self.strides)[:, None] + self.offsets
+        first = np.searchsorted(self.keys, rows - 2, side="left")
+        return first, np.searchsorted(self.keys, rows + 2, side="right") - first
 
 
 def _pair_sums(cells: _Cells, queries, h, order, out, rows, first, count) -> None:
     """Sum ``rows`` of ``queries`` over their candidates only, into ``out``.
 
-    Candidates run through the neighbour cells in key order, and through
-    each cell in data order.  A block holds whole rows.
+    Candidates run through the box rows in key order, and through each
+    sub-cell in data order.  A block holds whole rows.
     """
     d = queries.shape[1]
     total = count.sum(axis=1)
@@ -276,11 +307,11 @@ def _pair_sums(cells: _Cells, queries, h, order, out, rows, first, count) -> Non
         # flat index p of run j maps to first_j + (p - start of run j)
         shift = first[r:stop].ravel() - (np.cumsum(cnt) - cnt)
         idx = np.repeat(shift, cnt) + np.arange(ptr[stop] - ptr[r])
-        rep = np.repeat(sel, total[r:stop])
         seg = ptr[r:stop] - ptr[r]
         dv = np.empty((d, idx.size))
         for a in range(d):
-            np.subtract(queries[rep, a], cells.sorted_t[a, idx], out=dv[a])
+            np.subtract(np.repeat(queries[sel, a], total[r:stop]),
+                        np.take(cells.sorted_t[a], idx), out=dv[a])
         dv /= h
         w = dv[0] * dv[0]
         tmp = np.empty_like(w)
@@ -368,7 +399,7 @@ def density(model: KernelModel, x):
     a (Q,) array accordingly.  Always nonnegative.
     """
     q, single = _as_queries(model, x)
-    s0, _, _ = _kernel_sums(model.data.points, q, model.bandwidth, order=0)
+    s0, _, _ = _kernel_sums(model.data.points, q, model.bandwidth, order=0, cells=model.cells)
     out = s0 * _norm_const(model.n, model.d, model.bandwidth)
     return float(out[0]) if single else out
 
@@ -380,7 +411,7 @@ def gradient(model: KernelModel, x):
     Accepts a single d-vector or a (Q, d) batch.
     """
     q, single = _as_queries(model, x)
-    _, s1, _ = _kernel_sums(model.data.points, q, model.bandwidth, order=1)
+    _, s1, _ = _kernel_sums(model.data.points, q, model.bandwidth, order=1, cells=model.cells)
     out = s1 * (-_norm_const(model.n, model.d, model.bandwidth) / model.bandwidth)
     return out[0] if single else out
 
@@ -393,7 +424,7 @@ def hessian(model: KernelModel, x):
     """
     q, single = _as_queries(model, x)
     h = model.bandwidth
-    s0, _, s2 = _kernel_sums(model.data.points, q, h, order=2)
+    s0, _, s2 = _kernel_sums(model.data.points, q, h, order=2, cells=model.cells)
     eye = np.eye(model.d)
     out = (s2 - s0[:, None, None] * eye) * (_norm_const(model.n, model.d, h) / h**2)
     return out[0] if single else out

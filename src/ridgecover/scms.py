@@ -47,9 +47,9 @@ class DivergenceError(RuntimeError):
     """Raised when an iterate leaves the support of the estimate.
 
     Happens when the kernel sum is zero at the query, so the mean-shift
-    target is undefined: no data lie in the query's neighbouring cells
-    of side 7.4*h (see :mod:`ridgecover.kde`), or every kernel term
-    underflows."""
+    target is undefined: no data lie in the query's box of sub-cells
+    (see :mod:`ridgecover.kde`), which reaches between 7.4*h and 11.1*h
+    from the query along each axis, or every kernel term underflows."""
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def _step_batch(model: KernelModel, x: np.ndarray):
     unchanged.
     """
     h = model.bandwidth
-    s0, s1, s2 = _kernel_sums(model.data.points, x, h, order=2)
+    s0, s1, s2 = _kernel_sums(model.data.points, x, h, order=2, cells=model.cells)
     ok = s0 > 0.0
     safe = np.where(ok, s0, 1.0)
     shift = -(h * s1) / safe[:, None]  # m(x) - x
@@ -264,8 +264,9 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
 
     Each trajectory stops when its displacement norm drops below the
     tolerance or after ``max_iterations`` steps.  A trajectory diverges
-    when it reaches a point with no data in its neighbouring cells of
-    side 7.4*h, where the truncated kernel sum is exactly zero.
+    when it reaches a point with no data in its box of sub-cells, which
+    reaches between 7.4*h and 11.1*h from it along each axis; there the
+    truncated kernel sum is exactly zero.
     Diverged and non-converged points are discarded, as are points
     with a nonnegative second eigenvalue,
     points where the two leading eigenvalues tie exactly (ridge
@@ -302,7 +303,7 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     # Final diagnostics at the trajectory endpoints.  Membership uses the
     # plain Hessian eigenvalues; the convergence residual uses the same
     # log-Hessian basis the iteration projected onto.
-    s0, s1, s2 = _kernel_sums(data.points, x, h, order=2)
+    s0, s1, s2 = _kernel_sums(data.points, x, h, order=2, cells=model.cells)
     norm = _norm_const(data.n, data.d, h)
     dens = s0 * norm
     grad = s1 * (-norm / h)
@@ -314,12 +315,11 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     pg = _project_normal(vec, grad)
     pg_norm = np.sqrt(np.sum(pg * pg, axis=1))
     # In d=1 there is no second eigenvalue; the only one plays its role,
-    # which reduces ridge membership to the usual mode condition.
+    # so a retained point need only have p'' < 0.  The step is zero there,
+    # so endpoints are not moved to the modes.
     lam2 = lam[:, 1] if data.d >= 2 else lam[:, 0]
 
-    data_density = (
-        _kernel_sums(data.points, data.points, h, order=0)[0] * norm
-    )
+    data_density = _kernel_sums(data.points, data.points, h, order=0, cells=model.cells)[0] * norm
     candidates = converged & (lam2 < 0.0)
     if data.d >= 2:
         candidates &= lam[:, 0] > lam[:, 1]

@@ -362,7 +362,11 @@ class TestTruncatedSums:
                     rng.uniform(lo - 3 * side, hi + 3 * side, (60, d)),
                 ])
                 edges = lo + side * rng.integers(-2, int((hi - lo).max() / side) + 3, (60, d))
-                assert_within_truncation_bound(pts, np.concatenate([inside, outside, edges]), h)
+                # on sub-cell boundaries, out to clipped queries beyond the ring
+                sub_edges = lo + 0.5 * side * rng.integers(
+                    -6, int(2 * (hi - lo).max() / side) + 7, (60, d))
+                queries = np.concatenate([inside, outside, edges, sub_edges])
+                assert_within_truncation_bound(pts, queries, h)
             # The s0 bound is tight: 300 points just over one cell side
             # from a query at the top of its cell are all left out.
             side = _CUTOFF * 0.1
@@ -456,6 +460,108 @@ class TestTruncatedSums:
             scms_step(model, x)
 
 
+def candidate_mask(cells, queries):
+    """(Q, n) mask over the key-sorted data: the candidates of each query."""
+    first, count = cells.neighbours(queries)
+    mask = np.zeros((len(queries), cells.keys.size), dtype=bool)
+    for row, (starts, counts) in enumerate(zip(first, count)):
+        for start, c in zip(starts, counts):
+            mask[row, start:start + c] = True
+    # the merged runs of a row never overlap, so no pair is summed twice
+    np.testing.assert_array_equal(mask.sum(axis=1), count.sum(axis=1))
+    return mask
+
+
+def full_cell_mask(cells, queries, h):
+    """The candidates of the 3^k cells of side c h around each query's cell."""
+    side = _CUTOFF * h
+    data = np.floor((cells.sorted_t[cells.axes].T - cells.lo) / side)
+    spans = data.max(axis=0) + 1.0
+    query = np.clip(np.floor((queries[:, cells.axes] - cells.lo) / side), -1.0, spans)
+    return np.all(np.abs(data[None] - query[:, None]) <= 1.0, axis=2)
+
+
+class TestSubCells:
+    """The sub-cell box of every query against brute force."""
+
+    @staticmethod
+    def cases(rng):
+        for d in (1, 2, 3):
+            for pts in (rng.uniform(0.0, 4.0, (300, d)), clustered_cloud(rng, d)):
+                for h in (0.15, 0.05):
+                    side = 0.5 * _CUTOFF * h
+                    lo, hi = pts.min(axis=0), pts.max(axis=0)
+                    top = int((hi - lo).max() / side)
+                    # data and queries on sub-cell boundaries, queries about
+                    # the cutoff from a data point, queries clipped from far
+                    # outside the ring, and queries anywhere near
+                    on_grid = lo + side * rng.integers(0, top + 1, (40, d))
+                    queries = np.concatenate([
+                        lo + side * rng.integers(-8, top + 9, (150, d)),
+                        pts[:60] + side * rng.uniform(-2.2, 2.2, (60, d)),
+                        lo - side * rng.uniform(3.0, 40.0, (30, d)),
+                        hi + side * rng.uniform(3.0, 40.0, (30, d)),
+                        rng.uniform(lo - 4 * side, hi + 4 * side, (150, d)),
+                    ])
+                    yield np.concatenate([pts, on_grid]), queries, h
+
+    def test_box_holds_every_point_within_the_cutoff(self):
+        rng = np.random.default_rng(105)
+        for pts, queries, h in self.cases(rng):
+            cells = _Cells.build(pts, h)
+            assert cells is not None
+            mask = candidate_mask(cells, queries)
+            # within c h on every split axis, short of round-off in the indices
+            gap = np.abs(queries[:, None, cells.axes] - cells.sorted_t[cells.axes].T[None])
+            near = np.all(gap <= _CUTOFF * h * (1.0 - 1e-9), axis=2)
+            assert near.any()
+            assert not (near & ~mask).any()
+
+    def test_box_within_the_full_cell_neighbours(self):
+        rng = np.random.default_rng(106)
+        for pts, queries, h in self.cases(rng):
+            cells = _Cells.build(pts, h)
+            mask = candidate_mask(cells, queries)
+            old = full_cell_mask(cells, queries, h)
+            assert not (mask & ~old).any()
+            assert mask.sum() < old.sum()
+
+    def test_lookups_per_query(self):
+        rng = np.random.default_rng(107)
+        for d in (1, 2, 3):
+            pts = rng.uniform(0.0, 4.0, (300, d))
+            first, count = _Cells.build(pts, 0.05).neighbours(pts[:10])
+            assert first.shape == count.shape == (10, 5 ** (d - 1))
+
+    def test_model_cells_built_once_and_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(108)
+        builds = []
+        build = _Cells.build
+
+        def counting(points, h):
+            builds.append(h)
+            return build(points, h)
+
+        monkeypatch.setattr(_Cells, "build", counting)
+        for d in (1, 2, 3):
+            for h in (0.05, 2.0):  # truncated, and whole-call dense
+                pts = clustered_cloud(rng, d)
+                queries = rng.uniform(-1.0, 21.0, (80, d))
+                model = KernelModel(PointCloud(pts), h)
+                del builds[:]
+                density(model, queries)
+                gradient(model, queries)
+                hessian(model, queries)
+                assert builds == [h]
+                assert model.cells is model.cells
+                assert (model.cells is None) == (h == 2.0)
+                for order in (0, 1, 2):
+                    cached = _kernel_sums(pts, queries, h, order, cells=model.cells)
+                    fresh = _kernel_sums(pts, queries, h, order)
+                    for a, b in zip(cached, fresh):
+                        np.testing.assert_array_equal(a, b)
+
+
 # Property tests draw a fixed, small set of examples so the suite stays
 # fast and deterministic.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -468,7 +574,15 @@ def clouds_and_queries(draw):
                           elements=st.floats(-10.0, 10.0)))
     queries = draw(hnp.arrays(float, (draw(st.integers(1, 40)), d),
                               elements=st.floats(-15.0, 15.0)))
-    return pts, queries, draw(st.floats(0.01, 5.0))
+    h = draw(st.floats(0.01, 5.0))
+    # queries on sub-cell boundaries, from clipped ones below the grid to
+    # clipped ones above it
+    side = 0.5 * _CUTOFF * h
+    lo = pts.min(axis=0)
+    top = int((pts.max(axis=0) - lo).max() / side)
+    steps = draw(hnp.arrays(np.int64, (draw(st.integers(0, 10)), d),
+                            elements=st.integers(-8, top + 8)))
+    return pts, np.concatenate([queries, lo + side * steps]), h
 
 
 class TestTruncatedSumProperties:

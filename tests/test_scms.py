@@ -16,8 +16,10 @@ from ridgecover import (
     extract_ridge,
     gradient,
     hausdorff,
+    hessian,
     scms_step,
 )
+from ridgecover.kde import _CUTOFF, _Cells
 from ridgecover.scms import _step_batch
 
 
@@ -202,6 +204,67 @@ class TestExtractRidge:
             idx += 1
 
 
+class TestExtractRidgeConsistency:
+    def test_cells_built_once_per_fit(self, monkeypatch):
+        builds = []
+        build = _Cells.build
+
+        def counting(points, h):
+            builds.append(build(points, h))
+            return builds[-1]
+
+        monkeypatch.setattr(_Cells, "build", counting)
+        cloud = ring_cloud(n=300)
+        for h, cfg in ((0.1, ScmsConfig()), (0.4, ScmsConfig()),
+                       (0.1, ScmsConfig(mesh="grid", grid_resolution=0.5))):
+            del builds[:]
+            assert len(extract_ridge(cloud, h, cfg)) > 0
+            assert len(builds) == 1
+            assert (builds[0] is None) == (h == 0.4)  # at h = 0.4 every call is dense
+
+    def test_endpoints_match_scms_step_loop_bitwise(self):
+        # With no density threshold every converged trajectory on this
+        # ring is retained, so the whole batch output can be compared.
+        cloud = ring_cloud(seed=11, n=60)
+        cfg = ScmsConfig(density_threshold_fraction=0.0)
+        for h in (0.1, 0.3):
+            ridge = extract_ridge(cloud, h, cfg)
+            model = KernelModel(cloud, h)
+            tol = cfg.resolved_tolerance(h)
+            finals, iters, converged = [], [], []
+            for x in cloud.points:
+                done = False
+                for it in range(1, cfg.max_iterations + 1):
+                    x_new = scms_step(model, x)
+                    done = np.sqrt(np.sum((x_new - x) ** 2)) < tol
+                    x = x_new
+                    if done:
+                        break
+                finals.append(x)
+                iters.append(it)
+                converged.append(done)
+            converged = np.array(converged)
+            assert converged.sum() == len(ridge) > 0
+            np.testing.assert_array_equal(ridge.positions, np.array(finals)[converged])
+            np.testing.assert_array_equal(ridge.iterations, np.array(iters)[converged])
+
+    def test_one_dimensional_members_are_concave(self):
+        """In d=1 the normal space is empty: every step is zero, and a
+        retained point need only have p'' < 0 (and pass the density
+        threshold).  Unlike the mode condition, p' need not vanish there."""
+        rng = np.random.default_rng(12)
+        pts = np.concatenate([rng.normal(-2.0, 0.5, 150), rng.normal(2.0, 0.5, 150)])
+        cloud = PointCloud(pts)
+        for h in (0.1, 0.3):
+            ridge = extract_ridge(cloud, h)
+            model = KernelModel(cloud, h)
+            assert len(ridge) > 0
+            assert np.all(ridge.iterations == 1)
+            assert np.all(hessian(model, ridge.positions)[:, 0, 0] < 0.0)
+            members = np.isin(pts, ridge.positions[:, 0])
+            assert members.sum() == len(ridge)
+
+
 class TestScmsConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -298,6 +361,38 @@ class TestExtractRidgeProperties:
         b = extract_ridge(PointCloud(cloud.points + np.array(shift)), h)
         assert len(a) == len(b)
         assert np.abs(b.positions - np.array(shift) - a.positions).max(initial=0.0) <= 1e-5 * h
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), h=st.floats(0.05, 0.4),
+           angle=st.floats(0.0, 2.0 * np.pi))
+    def test_rotation(self, seed, h, angle):
+        """Endpoints agree after un-rotating, and so do retained counts,
+        apart from lone data points.
+
+        The cells are axis-aligned, so a rotated cloud keeps other far
+        terms: endpoints agree only up to the truncation bound and
+        round-off, far inside the 1e-5 * h allowed.  A data point with
+        no other within 7.4 h is the exception.  Its leading Hessian
+        eigenvalues tie exactly in a frame whose box holds no other data
+        and differ by about 1e-13 in a frame whose box does, so whether
+        its trajectory (which stays on it) is kept depends on the frame.
+        """
+        cloud = ring_cloud(seed=seed, n=80)
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        a = extract_ridge(cloud, h)
+        b = extract_ridge(PointCloud(cloud.points @ rot.T), h)
+        gaps = np.sqrt(((cloud.points[:, None] - cloud.points[None]) ** 2).sum(axis=2))
+        np.fill_diagonal(gaps, np.inf)
+        lone = cloud.points[gaps.min(axis=1) > _CUTOFF * h]
+
+        def off_lone(positions):
+            return np.all(np.abs(positions[:, None] - lone[None]).max(axis=2) > 1e-6 * h, axis=1)
+
+        pa, pb = a.positions, b.positions @ rot
+        keep_a, keep_b = off_lone(pa), off_lone(pb)
+        assert keep_a.sum() == keep_b.sum()
+        assert np.abs(pb[keep_b] - pa[keep_a]).max(initial=0.0) <= 1e-5 * h
 
     @PROPERTY
     @given(seed=st.integers(0, 2**16), h=st.floats(0.05, 0.4), scale=st.floats(0.2, 5.0))
