@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._io import write_csv
-from .kde import _as_points
+from .kde import _as_points, _as_vector
 
 __all__ = [
     "Manifold",
@@ -77,12 +77,7 @@ def _nearest_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def distance_to_set(x, s: Manifold) -> float:
     """Euclidean projection distance from a point to the mesh of ``s``."""
-    q = np.asarray(x, dtype=float)
-    if q.ndim != 1 or q.shape[0] != s.d:
-        raise ValueError(f"expected a d={s.d} vector, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query contains non-finite coordinates")
-    return float(_nearest_dists(q[None, :], s.points)[0])
+    return float(_nearest_dists(_as_vector(x, s.d)[None, :], s.points)[0])
 
 
 def coverage_samples(

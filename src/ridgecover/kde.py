@@ -17,11 +17,13 @@ When the cells would save little, the sum runs exactly over all the
 data.  A :class:`KernelModel` bins its data once, when first evaluated,
 and every later sum on that model reuses the same cells.
 
-Every row is reduced on its own (a pairwise sum over a C-contiguous
-trailing axis, or one ``np.add.reduceat`` segment holding only that
-row's terms) and never through BLAS, so a row's value depends only on
-the data, h and that query: results are bit-identical across chunk
-sizes, batch make-up and thread settings.
+Both paths gather blocks of at most about ``_PAIR_BLOCK`` terms and hand
+them to one routine for the Gaussian moments.  Every row is reduced on
+its own (a pairwise sum over a C-contiguous trailing axis on the dense
+path, one ``np.add.reduceat`` segment holding only that row's terms on
+the truncated one) and never through BLAS, so a row's value depends
+only on the data, h and that query: results are bit-identical across
+block sizes, batch make-up and thread settings.
 """
 
 from __future__ import annotations
@@ -46,22 +48,23 @@ __all__ = [
     "normal_reference_bandwidth",
 ]
 
-# Queries are processed in blocks of this many rows to bound the size of
-# the (chunk, n, d) difference tensor and keep it cache resident.
-# Chunking does not change results.
-_CHUNK = 32
-
 # Cutoff in bandwidths, two sub-cell sides.  Only terms from beyond a
 # query's box of sub-cells, so more than this many bandwidths away along
 # some axis, are dropped: exp(-7.4**2 / 2) ~ 1.3e-12, and exp is slow
 # below about 1e-308.
 _CUTOFF = 7.4
 
-# Most (query, point) pairs evaluated at once on the truncated path; a
-# longer row forms a block of its own.  Order-2 sums timed alike from
-# 2^13 to 2^15 pairs (2 cores); 2^12 paid more per-call overhead, and
-# 2^16 raised the peak RSS of a circle-and-helix fit sequence by 6 MiB
-# more than 2^14 did (78.1 and 72.2 MiB against 70.7 MiB dense).
+# Most (query, point) terms evaluated at once, on both paths: the
+# truncated path fills a block with whole rows of candidates, the dense
+# path takes max(1, _PAIR_BLOCK // n) rows of all n points, and a longer
+# row forms a block of its own, so a block holds at most 128 KiB per
+# array unless n > 2^14.  Order-2 pair sums timed alike from 2^13 to 2^15
+# terms (2 cores); 2^12 paid more per-call overhead, and 2^16 raised the
+# peak RSS of a circle-and-helix fit sequence by 6 MiB more than 2^14
+# did.  On the dense path, blocks of this budget ran order-2 sums 1.15-3x
+# faster than 32-row blocks of (rows, n, d) offsets (d = 2 and 3, n = 300
+# and 2000, 1 to 500 rows; 2 cores), and extract_ridge on 2000-point
+# circles at h = 0.4, all dense, took 0.67 s against 1.44 s.
 _PAIR_BLOCK = 1 << 14
 
 # Queries are looked up this many rows at a time.  This bounds the
@@ -176,6 +179,16 @@ def _as_queries(model: KernelModel, x):
     return q, single
 
 
+def _as_vector(x, d: int) -> np.ndarray:
+    """Validate a single query point; return it as a finite (d,) array."""
+    q = np.asarray(x, dtype=float)
+    if q.ndim != 1 or q.shape[0] != d:
+        raise ValueError(f"expected a d={d} vector, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("query contains non-finite coordinates")
+    return q
+
+
 # Default of ``_kernel_sums(cells=...)``: bin the data in this call.
 _UNBUILT = object()
 
@@ -197,12 +210,12 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     out).  ``cells`` holds that binning of ``points`` at ``h``; callers
     with a :class:`KernelModel` pass its ``cells``, built once per
     model, and without it the data are binned here.  Candidates run as flat
-    (query, point) pairs in blocks of about ``_PAIR_BLOCK``, with the
-    elementwise operations of :func:`_dense_sums` and one
-    ``np.add.reduceat`` segment per row; a row without candidates gets
-    exact zeros.  A segment's reduction depends only on its contents, so
+    (query, point) pairs in blocks of about ``_PAIR_BLOCK``, through the
+    same moment arithmetic as :func:`_dense_sums` (:func:`_moments`) with
+    one ``np.add.reduceat`` segment per row; a row without candidates
+    gets exact zeros.  A segment's reduction depends only on its contents, so
     each row depends only on the data, h and that row, never on the
-    chunk size or the rest of the batch.
+    block size or the rest of the batch.
 
     The whole call is instead the exact sum over all the data
     (:func:`_dense_sums`) when the data span at most 3 cells on every
@@ -312,78 +325,62 @@ def _pair_sums(cells: _Cells, queries, h, order, out, rows, first, count) -> Non
         for a in range(d):
             np.subtract(np.repeat(queries[sel, a], total[r:stop]),
                         np.take(cells.sorted_t[a], idx), out=dv[a])
-        dv /= h
-        w = dv[0] * dv[0]
-        tmp = np.empty_like(w)
-        for a in range(1, d):
-            np.multiply(dv[a], dv[a], out=tmp)
-            w += tmp
-        w *= -0.5
-        np.exp(w, out=w)
-        out[0][sel] = np.add.reduceat(w, seg)
-        if order >= 1:
-            pv = np.empty_like(w)
-            for a in range(d):
-                np.multiply(w, dv[a], out=pv)
-                out[1][sel, a] = np.add.reduceat(pv, seg)
-                if order >= 2:
-                    for b in range(a, d):
-                        np.multiply(pv, dv[b], out=tmp)
-                        v = np.add.reduceat(tmp, seg)
-                        out[2][sel, a, b] = v
-                        if b != a:
-                            out[2][sel, b, a] = v
+        _moments(dv, h, order, functools.partial(np.add.reduceat, indices=seg), out, sel)
         r = stop
 
 
 def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
-    """Exact :func:`_kernel_sums` over all the data, ``_CHUNK`` rows at a time.
+    """Exact :func:`_kernel_sums` over all the data.
 
-    Each reduction is a pairwise sum over the trailing axis of a
-    C-contiguous array, so the per-row results do not depend on the
-    chunk layout.
+    A block holds ``max(1, _PAIR_BLOCK // n)`` whole rows, each reduced
+    by a pairwise sum over a contiguous (rows, n) plane per coordinate,
+    so the per-row results do not depend on the block layout.
     """
     nq, d = queries.shape
-    n = points.shape[0]
-    s0 = np.empty(nq)
-    s1 = np.empty((nq, d)) if order >= 1 else None
-    s2 = np.empty((nq, d, d)) if order >= 2 else None
-    # Scratch buffers reused across chunks; all products are written
-    # in place, so the values and reduction order match the naive
-    # broadcast-and-sum formulation bit for bit.
-    c_max = min(_CHUNK, nq)
-    diff = np.empty((c_max, n, d))
-    w = np.empty((c_max, n))
-    tmp = np.empty((c_max, n))
-    prod = np.empty((c_max, n)) if order >= 1 else None
-    for start in range(0, nq, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, nq))
-        c = sl.stop - start
-        dv, wv, tv = diff[:c], w[:c], tmp[:c]
-        np.subtract(queries[sl, None, :], points[None, :, :], out=dv)
-        dv /= h
-        # ||u||^2 accumulated coordinate by coordinate (d is small, so
-        # this matches a trailing-axis pairwise sum exactly)
-        np.multiply(dv[:, :, 0], dv[:, :, 0], out=wv)
-        for a in range(1, d):
-            np.multiply(dv[:, :, a], dv[:, :, a], out=tv)
-            wv += tv
-        wv *= -0.5
-        np.exp(wv, out=wv)
-        s0[sl] = np.sum(wv, axis=1)
-        if order >= 1:
-            pv = prod[:c]
-            for a in range(d):
-                np.multiply(wv, dv[:, :, a], out=pv)
-                s1[sl, a] = np.sum(pv, axis=1)
-                if order >= 2:
-                    for b in range(a, d):
-                        np.multiply(pv, dv[:, :, b], out=tv)
-                        v = np.sum(tv, axis=1)
-                        s2[sl, a, b] = v
-                        if b != a:
-                            s2[sl, b, a] = v
-    return s0, s1, s2
+    out = (np.empty(nq), np.empty((nq, d)) if order >= 1 else None,
+           np.empty((nq, d, d)) if order >= 2 else None)
+    points_t = np.ascontiguousarray(points.T)
+    queries_t = np.ascontiguousarray(queries.T)
+    step = max(1, _PAIR_BLOCK // points.shape[0])
+    reduce = functools.partial(np.sum, axis=-1)
+    for start in range(0, nq, step):
+        sl = slice(start, min(start + step, nq))
+        _moments(np.subtract(queries_t[:, sl, None], points_t[:, None, :]), h, order,
+                 reduce, out, sl)
+    return out
+
+
+def _moments(dv: np.ndarray, h: float, order: int, reduce, out, sel) -> None:
+    """The Gaussian moments of one block of terms, into rows ``sel`` of ``out``.
+
+    ``dv`` holds the offsets x - X_i with the axis first, shape (d, ...),
+    and is scaled to u in place; ``reduce`` sums each row's terms of a
+    weight or product array.  ||u||^2 accumulates coordinate by
+    coordinate, and every product is written in place, so a row's value
+    depends only on its terms and on ``reduce``.
+    """
+    d = dv.shape[0]
+    dv /= h
+    w = dv[0] * dv[0]
+    tmp = np.empty_like(w)
+    for a in range(1, d):
+        np.multiply(dv[a], dv[a], out=tmp)
+        w += tmp
+    w *= -0.5
+    np.exp(w, out=w)
+    out[0][sel] = reduce(w)
+    if order >= 1:
+        pv = np.empty_like(w)
+        for a in range(d):
+            np.multiply(w, dv[a], out=pv)
+            out[1][sel, a] = reduce(pv)
+            if order >= 2:
+                for b in range(a, d):
+                    np.multiply(pv, dv[b], out=tmp)
+                    v = reduce(tmp)
+                    out[2][sel, a, b] = v
+                    if b != a:
+                        out[2][sel, b, a] = v
 
 
 def _norm_const(n: int, d: int, h: float) -> float:

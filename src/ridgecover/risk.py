@@ -158,12 +158,11 @@ def _bootstrap_replicate_task(args):
 
 
 def _grid_entry_task(args):
-    points, h, method, cfg, stream, replicates, noise_h = args
+    points, h, method, cfg, stream, replicates = args
     data = PointCloud(points)
     if method == "split":
         return risk_split(data, h, cfg, stream, workers=1)
-    return risk_bootstrap(data, h, replicates, cfg, stream,
-                          noise_bandwidth=noise_h, workers=1)
+    return risk_bootstrap(data, h, replicates, cfg, stream, workers=1)
 
 
 def risk_split(
@@ -300,7 +299,7 @@ def select_bandwidth(
     streams = rng.spawn(len(kept))
     entries = _map_ordered(
         _grid_entry_task,
-        [(data.points, h, method, cfg, s, replicates, None)
+        [(data.points, h, method, cfg, s, replicates)
          for h, s in zip(kept, streams)],
         workers,
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._io import write_csv
 from .coverage import Manifold
-from .kde import KernelModel, PointCloud, _kernel_sums, _norm_const
+from .kde import KernelModel, PointCloud, _as_vector, _kernel_sums, _norm_const
 
 __all__ = [
     "DivergenceError",
@@ -37,9 +37,14 @@ __all__ = [
 # Default stopping tolerance on the displacement norm, as a fraction of h.
 DEFAULT_TOLERANCE_FACTOR = 1e-6
 
-# Largest grid mesh accepted.  Each SCMS step costs (mesh points) x n
-# kernel terms, so a larger grid would not finish in useful time; the
-# check also runs before the mesh is allocated.
+# Largest grid mesh accepted.  A step sums each mesh point only over the
+# data in its box of sub-cells, but once h is wide enough for the sums to
+# go dense that box is all n points: a step costs (mesh points) x n
+# kernel terms, and a larger grid would not finish in useful time.
+# Memory grows with the mesh too, since each step holds the iterates,
+# their kernel sums and Hessian eigenvectors for the whole active mesh
+# (only the box lookups are bounded, by kde._LOOKUP_ROWS).  The check
+# runs before the mesh is allocated.
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -227,12 +232,7 @@ def scms_step(model: KernelModel, x) -> np.ndarray:
 
     Raises :class:`DivergenceError` when the density underflows at x.
     """
-    q = np.asarray(x, dtype=float)
-    if q.ndim != 1 or q.shape[0] != model.d:
-        raise ValueError(f"expected a d={model.d} vector, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query contains non-finite coordinates")
-    x_next, ok = _step_batch(model, q[None, :])
+    x_next, ok = _step_batch(model, _as_vector(x, model.d)[None, :])
     if not ok[0]:
         raise DivergenceError("density underflowed to zero at the iterate")
     return x_next[0]

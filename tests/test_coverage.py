@@ -85,6 +85,12 @@ class TestDistanceToSet:
         with pytest.raises(ValueError):
             distance_to_set(np.zeros(3), s)
 
+    def test_rejects_batch_and_non_finite(self):
+        s = random_manifold(np.random.default_rng(2), 5, d=2)
+        for x in (np.zeros((1, 2)), np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
+            with pytest.raises(ValueError):
+                distance_to_set(x, s)
+
 
 class TestSpatialIndexAgreement:
     def test_tree_path_bit_identical_to_linear_scan(self):

@@ -381,9 +381,10 @@ class TestTruncatedSums:
 
     def test_rows_independent_of_batch(self):
         rng = np.random.default_rng(102)
+        h = 0.1
+        cases = []
         for d in (1, 2, 3):
             pts = clustered_cloud(rng, d)
-            h = 0.1
             queries = np.concatenate([
                 rng.uniform(0.0, 1.0, (500, d)),  # most of the data near
                 rng.uniform(0.0, 20.0, (700, d)),  # few candidates
@@ -393,6 +394,14 @@ class TestTruncatedSums:
             total = count.sum(axis=1)
             assert (total > 0.75 * len(pts)).any() and (total == 0).any()
             assert ((total > 0) & (total < 0.1 * len(pts))).any()
+            cases.append((pts, queries))
+            # Whole-call dense clouds (at most 3 cells on every axis); at
+            # _PAIR_BLOCK + 1 points each dense block holds a single row.
+            for n in (200, _PAIR_BLOCK + 1):
+                pts = rng.uniform(0.0, 2.0, (n, d))
+                assert _Cells.build(pts, h) is None
+                cases.append((pts, rng.uniform(-1.0, 3.0, (200, d))))
+        for pts, queries in cases:
             ref = _kernel_sums(pts, queries, h, order=2)
             perm = rng.permutation(len(queries))
             shuffled = _kernel_sums(pts, queries[perm], h, order=2)
@@ -407,6 +416,29 @@ class TestTruncatedSums:
                 got = _kernel_sums(pts, queries[i:i + 1], h, order=2)
                 for a, b in zip(ref, got):
                     np.testing.assert_array_equal(a[i:i + 1], b)
+
+    def test_dense_sums_equal_naive_broadcast(self):
+        # ||u||^2 summed coordinate by coordinate, then np.sum over the
+        # trailing axis of the full (Q, n) arrays: blocking changes no bit.
+        rng = np.random.default_rng(105)
+        h = 0.3
+        for d in (1, 2, 3):
+            for n in (7, 300, _PAIR_BLOCK + 1):
+                pts = rng.standard_normal((n, d))
+                queries = rng.uniform(-3.0, 3.0, (40, d))
+                u = (queries[:, None, :] - pts[None, :, :]) / h
+                sq = u[..., 0] * u[..., 0]
+                for a in range(1, d):
+                    sq = sq + u[..., a] * u[..., a]
+                w = np.exp(-0.5 * sq)
+                s0, s1, s2 = _dense_sums(pts, queries, h, order=2)
+                np.testing.assert_array_equal(s0, np.sum(w, axis=-1))
+                for a in range(d):
+                    np.testing.assert_array_equal(s1[:, a], np.sum(w * u[..., a], axis=-1))
+                    for b in range(a, d):
+                        v = np.sum(w * u[..., a] * u[..., b], axis=-1)
+                        np.testing.assert_array_equal(s2[:, a, b], v)
+                        np.testing.assert_array_equal(s2[:, b, a], v)
 
     def test_whole_call_dense_bit_identical(self):
         rng = np.random.default_rng(103)

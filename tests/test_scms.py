@@ -72,6 +72,13 @@ class TestScmsStep:
         with pytest.raises(DivergenceError):
             scms_step(model, np.array([100.0, 100.0]))
 
+    def test_rejects_anything_but_one_finite_vector(self):
+        model = KernelModel(PointCloud(np.zeros((3, 2))), 0.5)
+        for x in (np.zeros((1, 2)), np.zeros((4, 2)), np.zeros(3), 0.0,
+                  np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
+            with pytest.raises(ValueError):
+                scms_step(model, x)
+
     def test_matches_batched_iteration_bitwise(self):
         # scms_step is the batch kernel at Q=1; rows of a larger batch
         # must match it exactly, so chunked extraction is reproducible.
