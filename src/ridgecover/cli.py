@@ -212,6 +212,11 @@ def cmd_select(args: argparse.Namespace) -> int:
         "version": _VERSION,
     })
     _log(f"selected h_star={curve.h_star} (cap h_bar={curve.h_bar})")
+    lo, hi = min(e.h for e in curve.entries), max(e.h for e in curve.entries)
+    if lo < hi and curve.h_star in (lo, hi):
+        edge = "smallest" if curve.h_star == lo else "largest"
+        _log(f"warning: h_star={curve.h_star} is the {edge} bandwidth left in the grid; "
+             "the risk minimum may lie outside it")
     if args.emit_ridge:
         ridge = next(e.ridge for e in curve.entries if e.h == curve.h_star)
         if ridge is None:  # data splitting fitted only the halves

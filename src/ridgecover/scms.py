@@ -11,8 +11,19 @@ itself is tested on the plain density Hessian: a retained point has
 lambda2 < 0 there, matching the ridge definition.
 
 For the Gaussian kernel the mean-shift displacement has the closed form
-m(x) - x = -h * s1 / s0 in terms of the raw kernel sums, which this
-module reuses from :mod:`ridgecover.kde`.
+m(x) - x = -h * s1 / s0 = h^2 grad log p in terms of the raw kernel
+sums, which this module reuses from :mod:`ridgecover.kde`.
+
+Plain SCMS converges only linearly: along a normal eigendirection with
+eigenvalue lambda of h^2 grad grad log p, each step shrinks the offset
+from the ridge by about 1 + lambda, so it crawls where the density is
+flat across the ridge.  Each normal coefficient of the step with
+lambda < 0 is therefore multiplied by min(1/(-lambda), 4), a Newton step
+on log p inside the normal space; coefficients with lambda >= 0 are left
+as they are.  Since lambda >= -1 the factor is >= 1: a step is never
+shorter than the SCMS step and vanishes exactly where it does, so the
+fixed points, V V^T grad p = 0, are those of plain SCMS.  Only the path
+to them, and so which point of the ridge a trajectory ends on, changes.
 """
 
 from __future__ import annotations
@@ -36,6 +47,18 @@ __all__ = [
 
 # Default stopping tolerance on the displacement norm, as a fraction of h.
 DEFAULT_TOLERANCE_FACTOR = 1e-6
+
+# Largest Newton factor on a normal step coefficient; 1/(-lambda) grows
+# without bound where the density is flat across the ridge.  Over the 92
+# ridge fits of the ridge_narrow, select_split and select_bootstrap
+# benchmark workloads at seeds 0 and 1, plain SCMS took 2.98M
+# trajectory-steps and left 93 trajectories at max_iterations.  Caps of
+# 2, 3, 4, 8 and 20 took 1.58M, 1.19M, 1.05M, 0.95M and 0.98M steps and
+# left 39, 47, 57, 45 and 72.  Above 4 the select_bootstrap ridge loss
+# grew (seed 0: 0.0898 at 4, 0.0900 at 8 and 20; seed 1: 0.0887 at 4,
+# 0.0893 at 20).  Where the eigenbasis turns fast along the normal, a
+# stretched step can overshoot and oscillate; see CHANGES.md.
+_NEWTON_CAP = 4.0
 
 # Largest grid mesh accepted.  A step sums each mesh point only over the
 # data in its box of sub-cells, but once h is wide enough for the sums to
@@ -174,28 +197,33 @@ def _descending_eigh(mats: np.ndarray):
     return np.ascontiguousarray(lam), np.ascontiguousarray(vec * sign[:, None, :])
 
 
-def _project_normal(vec: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Apply V V^T to each row of t, V = trailing d-1 eigenvector columns.
+def _project_normal(vec: np.ndarray, t: np.ndarray, scale=None) -> np.ndarray:
+    """Apply V diag(scale) V^T to each row of t, V = trailing d-1 eigenvectors.
 
     ``vec`` is (q, d, d) with columns in descending eigenvalue order;
-    the leading column (ridge tangent candidate) is dropped.  Written as
-    trailing-axis reductions to stay off BLAS.
+    the leading column (ridge tangent candidate) is dropped.  ``scale``
+    is None (plain projection V V^T) or (q, d) per-column factors, of
+    which the leading one is ignored.  Written as trailing-axis
+    reductions to stay off BLAS.
     """
     v = vec[:, :, 1:]  # (q, d, k), k = d - 1
     if v.shape[2] == 0:
         return np.zeros_like(t)
     vt = np.ascontiguousarray(np.swapaxes(v, 1, 2))  # (q, k, d)
     coef = np.sum(vt * t[:, None, :], axis=2)  # (q, k)
+    if scale is not None:
+        coef = coef * scale[:, 1:]
     return np.sum(v * coef[:, None, :], axis=2)  # (q, d)
 
 
 def _log_hessian_basis(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: int):
-    """Eigenvectors of the log-density Hessian from raw kernel sums.
+    """Eigenpairs of h^2 * grad grad log p from raw kernel sums.
 
     grad grad log p equals ((s2 - s0*I)/s0 - s1 s1^T / s0^2) / h^2, so
-    the unscaled matrix shares its eigenvectors.  Built from weighted
-    means of the bounded kernel offsets, it stays well conditioned even
-    where the density itself is close to underflow.
+    h^2 times it is a weighted covariance of the kernel offsets minus I,
+    and its eigenvalues are >= -1.  Built from weighted means of the
+    bounded kernel offsets, it stays well conditioned even where the
+    density itself is close to underflow.  Eigenvalues come descending.
     """
     mean1 = s1 / s0[:, None]
     mean2 = s2 / s0[:, None, None]
@@ -204,7 +232,7 @@ def _log_hessian_basis(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: int):
 
 
 def _step_batch(model: KernelModel, x: np.ndarray):
-    """One SCMS step for a batch of points.
+    """One Newton-scaled SCMS step for a batch of points.
 
     Returns (x_next, ok) where ok is False for rows whose kernel sum
     underflowed (density numerically zero).  Bad rows are passed through
@@ -215,20 +243,25 @@ def _step_batch(model: KernelModel, x: np.ndarray):
     ok = s0 > 0.0
     safe = np.where(ok, s0, 1.0)
     shift = -(h * s1) / safe[:, None]  # m(x) - x
-    _, vec = _log_hessian_basis(safe, s1, s2, model.d)
-    delta = _project_normal(vec, shift)
+    lam, vec = _log_hessian_basis(safe, s1, s2, model.d)
+    # Newton step on log p along each normal eigendirection with lam < 0:
+    # lam >= -1, so the factor 1/(-lam) is >= 1; clip it at _NEWTON_CAP.
+    scale = np.where(lam < 0.0, 1.0 / np.maximum(-lam, 1.0 / _NEWTON_CAP), 1.0)
+    delta = _project_normal(vec, shift, scale)
     x_next = np.where(ok[:, None], x + delta, x)
     return x_next, ok
 
 
 def scms_step(model: KernelModel, x) -> np.ndarray:
-    """Advance one point by a single projected mean-shift step.
+    """Advance one point by a single Newton-scaled SCMS step.
 
-    Returns x + V V^T (m(x) - x), where m(x) is the kernel-weighted mean
-    of the data around x and V collects the trailing d-1 eigenvectors of
-    the log-density Hessian at x.  Fixed points satisfy
-    V V^T grad p(x) = 0.  In d=1 the normal subspace is empty, so the
-    step is always the zero displacement.
+    Returns x + V D V^T (m(x) - x), where m(x) is the kernel-weighted
+    mean of the data around x, V collects the trailing d-1 eigenvectors
+    of the log-density Hessian at x, and the diagonal D holds one factor
+    in [1, 4] per column (1 where the eigenvalue is >= 0; see the module
+    docstring).  Fixed points satisfy V V^T grad p(x) = 0, the same as
+    for the plain SCMS step x + V V^T (m(x) - x).  In d=1 the normal
+    subspace is empty, so the step is always the zero displacement.
 
     Raises :class:`DivergenceError` when the density underflows at x.
     """
@@ -262,8 +295,11 @@ def _build_mesh(data: PointCloud, cfg: ScmsConfig) -> np.ndarray:
 def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) -> RidgeSet:
     """Run SCMS from every mesh point and collect the converged ridge.
 
-    Each trajectory stops when its displacement norm drops below the
-    tolerance or after ``max_iterations`` steps.  A trajectory diverges
+    Each trajectory takes Newton-scaled steps (:func:`scms_step`) and
+    stops when its displacement norm drops below the tolerance or after
+    ``max_iterations`` steps.  The scaled steps converge fast near the
+    ridge, so a stopped trajectory ends close to its limit, a point
+    where the plain SCMS step vanishes too.  A trajectory diverges
     when it reaches a point with no data in its box of sub-cells, which
     reaches between 7.4*h and 11.1*h from it along each axis; there the
     truncated kernel sum is exactly zero.

@@ -171,6 +171,52 @@ class TestSelect:
         assert code != 0
         assert "h_bar" in capsys.readouterr().err
 
+    def test_warns_when_h_star_is_a_grid_edge(self, ring_csv, tmp_path, capsys):
+        # at seed 1 these grids pick their smallest, largest and a middle h
+        for grid in ("0.05:0.1:2:geom", "0.15:0.3:3:geom", "0.25:0.5:5:lin"):
+            out = tmp_path / grid
+            assert run(["select", "--input", ring_csv, "--grid", grid, "--seed", "1",
+                        "--output-dir", out]) == 0
+            h_star = json.loads(read(out / "select.json"))["h_star"]
+            rows = read(out / "risk_curve.csv").strip().splitlines()[1:]
+            hs = [float(r.split(",")[0]) for r in rows]
+            edge = {min(hs): "smallest", max(hs): "largest"}.get(h_star)
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning:")]
+            assert warnings == ([f"warning: h_star={h_star} is the {edge} bandwidth left "
+                                 "in the grid; the risk minimum may lie outside it"]
+                                if edge else [])
+
+    def test_no_edge_warning_on_a_singleton_grid(self, ring_csv, tmp_path, capsys):
+        assert run(["select", "--input", ring_csv, "--grid", "0.2:0.2:1",
+                    "--seed", "1", "--output-dir", tmp_path]) == 0
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_constant_column_selects_h_bar_with_edge_warning(self, ring_csv, tmp_path,
+                                                             capsys):
+        # the ring with a constant third coordinate: the estimated risk
+        # falls all the way to h_bar, the top of the default grid
+        ring = load_csv(ring_csv).points
+        src = tmp_path / "flat.csv"
+        np.savetxt(src, np.column_stack([ring, np.full(len(ring), 1.5)]),
+                   delimiter=",", header="x0,x1,x2", comments="")
+        out = tmp_path / "sel"
+        assert run(["select", "--input", src, "--seed", "0", "--workers", "1",
+                    "--output-dir", out]) == 0
+        meta = json.loads(read(out / "select.json"))
+        assert meta["h_star"] == meta["h_bar"]
+        err = capsys.readouterr().err
+        assert f"warning: h_star={meta['h_star']} is the largest bandwidth" in err
+
+    def test_split_on_three_rows_exits_2(self, three_point_csv, tmp_path, capsys):
+        out = tmp_path / "sel"
+        assert run(["select", "--input", three_point_csv, "--method", "split",
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "n >= 4" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_all_infinite_risk_exits_2(self, tmp_path, capsys):
         # two far clusters of coincident points: every ridge is empty
         src = tmp_path / "clusters.csv"

@@ -255,6 +255,54 @@ class TestExtractRidgeConsistency:
             np.testing.assert_array_equal(ridge.positions, np.array(finals)[converged])
             np.testing.assert_array_equal(ridge.iterations, np.array(iters)[converged])
 
+    def test_endpoints_are_fixed_points_of_the_step(self):
+        # A scaled step only stretches the normal coefficients of the
+        # SCMS step, so both vanish at the same points: from a tightly
+        # converged endpoint, neither the step nor the plain SCMS step
+        # h^2 |V V^T grad p| / p moves further than the default tolerance.
+        cloud = ring_cloud(n=600)
+        for h in (0.1, 0.25):
+            model = KernelModel(cloud, h)
+            ridge = extract_ridge(cloud, h, ScmsConfig(tolerance=1e-10 * h))
+            tol = ScmsConfig().resolved_tolerance(h)
+            assert len(ridge) > 0
+            for x in ridge.positions:
+                assert np.linalg.norm(scms_step(model, x) - x) < tol
+            plain = h**2 * ridge.projected_gradient_norm / ridge.density
+            assert plain.max() < tol
+
+    def test_default_stop_lies_near_the_limit(self):
+        # disp < 1e-6 h is an honest stopping test when the steps converge
+        # fast: every trajectory that stops at the default tolerance ends
+        # within 2e-5 h of where the same trajectory goes at 1e-10 h.
+        cloud = ring_cloud(n=2000)
+        h = 0.1
+        model = KernelModel(cloud, h)
+
+        def endpoints(tol):
+            x = cloud.points.copy()
+            converged = np.zeros(cloud.n, dtype=bool)
+            active = np.arange(cloud.n)
+            for _ in range(ScmsConfig().max_iterations):
+                x_next, ok = _step_batch(model, x[active])
+                done = ok & (np.sqrt(np.sum((x_next - x[active]) ** 2, axis=1)) < tol)
+                x[active] = x_next
+                converged[active[done]] = True
+                active = active[ok & ~done]
+            return x, converged
+
+        loose, loose_done = endpoints(ScmsConfig().resolved_tolerance(h))
+        tight, tight_done = endpoints(1e-10 * h)
+        # the loop is extract_ridge's: with no density threshold its
+        # retained points are among these converged endpoints
+        ridge = extract_ridge(cloud, h, ScmsConfig(density_threshold_fraction=0.0))
+        stopped = {tuple(p) for p in loose[loose_done]}
+        assert len(ridge) > 0 and all(tuple(p) in stopped for p in ridge.positions)
+        both = loose_done & tight_done
+        assert both.sum() > 0.95 * cloud.n
+        gaps = np.sqrt(np.sum((loose[both] - tight[both]) ** 2, axis=1))
+        assert gaps.max() < 2e-5 * h
+
     def test_one_dimensional_members_are_concave(self):
         """In d=1 the normal space is empty: every step is zero, and a
         retained point need only have p'' < 0 (and pass the density
