@@ -10,8 +10,9 @@ c = 7.4 bandwidths (exp(-c^2/2) ~ 1.3e-12): the data are binned into
 sub-cells of side c*h/2, and a query sums only over the box of sub-cells
 within two of its own along each axis (the linked-cell method of
 molecular dynamics).  Each leftover term has |u| > c along some axis,
-so n points change s0 by at most n e^(-c^2/2), and the gradient and
-Hessian sums by at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), plus
+so n points change s0 by at most n e^(-c^2/2), the gradient and
+Hessian sums by at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), and the
+third moments (used by the SCMS step) by n c^3 e^(-c^2/2), plus
 round-off.  A query with no data in its box gets exactly zero density.
 When the cells would save little, the sum runs exactly over all the
 data.  A :class:`KernelModel` bins its data once, when first evaluated,
@@ -193,6 +194,14 @@ def _as_vector(x, d: int) -> np.ndarray:
 _UNBUILT = object()
 
 
+def _sums_out(alloc, nq: int, d: int, order: int) -> tuple:
+    """Result arrays of :func:`_kernel_sums`: s0, s1 and s2, None above
+    ``order``, and s3 as a fourth entry at order 3 only."""
+    out = (alloc(nq), alloc((nq, d)) if order >= 1 else None,
+           alloc((nq, d, d)) if order >= 2 else None)
+    return out + (alloc((nq, d, d, d)),) if order >= 3 else out
+
+
 def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
                  *, cells=_UNBUILT):
     """Raw Gaussian sums over the data near each query row.
@@ -202,8 +211,10 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
         s0[q]       = sum_i w_i
         s1[q, a]    = sum_i w_i u_i[a]          (order >= 1)
         s2[q, a, b] = sum_i w_i u_i[a] u_i[b]   (order >= 2)
+        s3[q, a, b, c] = sum_i w_i u_i[a] u_i[b] u_i[c]   (order 3 only)
 
-    Normalization constants are left to the callers.  The data are
+    s0, s1 and s2 come back as a 3-tuple, None above ``order``; order 3
+    appends s3.  Normalization constants are left to the callers.  The data are
     binned into sub-cells of side ``_CUTOFF * h / 2``, and each row sums
     only over the data in the box of sub-cells within two of its own on
     every split axis (see :class:`_Cells` for the bound on what is left
@@ -226,8 +237,7 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     if cells is None:
         return _dense_sums(points, queries, h, order)
     nq, d = queries.shape
-    out = (np.zeros(nq), np.zeros((nq, d)) if order >= 1 else None,
-           np.zeros((nq, d, d)) if order >= 2 else None)
+    out = _sums_out(np.zeros, nq, d, order)
     for start in range(0, nq, _LOOKUP_ROWS):
         rows = np.arange(start, min(start + _LOOKUP_ROWS, nq))
         first, count = cells.neighbours(queries[rows])
@@ -255,9 +265,9 @@ class _Cells(NamedTuple):
     leaves out is at most
 
         |ds0| <= n e^(-c^2/2),  |ds1| <= n c e^(-c^2/2),
-        |ds2| <= n c^2 e^(-c^2/2)
+        |ds2| <= n c^2 e^(-c^2/2),  |ds3| <= n c^3 e^(-c^2/2)
 
-    (x e^(-x^2/2) and x^2 e^(-x^2/2) decrease beyond 1 and sqrt 2), plus
+    (x^k e^(-x^2/2) decreases beyond sqrt k), plus
     round-off in the cell indices.  The box lies within the 3^k cells of
     side c h around the query's cell, so it never holds more candidates
     than they do.  Clipped queries may get far candidates too; their
@@ -337,8 +347,7 @@ def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
     so the per-row results do not depend on the block layout.
     """
     nq, d = queries.shape
-    out = (np.empty(nq), np.empty((nq, d)) if order >= 1 else None,
-           np.empty((nq, d, d)) if order >= 2 else None)
+    out = _sums_out(np.empty, nq, d, order)
     points_t = np.ascontiguousarray(points.T)
     queries_t = np.ascontiguousarray(queries.T)
     step = max(1, _PAIR_BLOCK // points.shape[0])
@@ -371,6 +380,7 @@ def _moments(dv: np.ndarray, h: float, order: int, reduce, out, sel) -> None:
     out[0][sel] = reduce(w)
     if order >= 1:
         pv = np.empty_like(w)
+        pvv = np.empty_like(w) if order >= 3 else None
         for a in range(d):
             np.multiply(w, dv[a], out=pv)
             out[1][sel, a] = reduce(pv)
@@ -381,6 +391,13 @@ def _moments(dv: np.ndarray, h: float, order: int, reduce, out, sel) -> None:
                     out[2][sel, a, b] = v
                     if b != a:
                         out[2][sel, b, a] = v
+                    if order < 3:
+                        continue
+                    for c in range(b, d):
+                        np.multiply(tmp, dv[c], out=pvv)
+                        v = reduce(pvv)
+                        for i, j, k in set(itertools.permutations((a, b, c))):
+                            out[3][sel, i, j, k] = v
 
 
 def _norm_const(n: int, d: int, h: float) -> float:

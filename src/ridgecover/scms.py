@@ -14,16 +14,20 @@ For the Gaussian kernel the mean-shift displacement has the closed form
 m(x) - x = -h * s1 / s0 = h^2 grad log p in terms of the raw kernel
 sums, which this module reuses from :mod:`ridgecover.kde`.
 
-Plain SCMS converges only linearly: along a normal eigendirection with
-eigenvalue lambda of h^2 grad grad log p, each step shrinks the offset
-from the ridge by about 1 + lambda, so it crawls where the density is
-flat across the ridge.  Each normal coefficient of the step with
-lambda < 0 is therefore multiplied by min(1/(-lambda), 4), a Newton step
-on log p inside the normal space; coefficients with lambda >= 0 are left
-as they are.  Since lambda >= -1 the factor is >= 1: a step is never
-shorter than the SCMS step and vanishes exactly where it does, so the
-fixed points, V V^T grad p = 0, are those of plain SCMS.  Only the path
-to them, and so which point of the ridge a trajectory ends on, changes.
+Plain SCMS converges only linearly: each step shrinks the normal
+coefficient c_j = v_j . (m(x) - x) by the factor 1 + kappa_j, where
+kappa_j is the rate at which c_j changes along v_j, so it crawls where
+kappa_j is near 0, as where the density is flat across the ridge.  Each
+normal coefficient with kappa_j < 0 is therefore multiplied by
+min(1/(-kappa_j), 4), and at least 1: a Newton step on c_j.  kappa_j is
+the eigenvalue lambda_j of h^2 grad grad log p plus a term from the
+eigenbasis turning as x moves, which needs third kernel moments (see
+``_newton_scale``); with lambda_j alone the stretched step overshoots
+and oscillates where the basis turns fast, at filament ends and clumps.
+The factor is never below 1 and never 0, so the step vanishes exactly
+where the SCMS step does and the fixed points, V V^T grad p = 0, are
+those of plain SCMS.  Only the path to them, and so which point of the
+ridge a trajectory ends on, changes.
 """
 
 from __future__ import annotations
@@ -48,16 +52,13 @@ __all__ = [
 # Default stopping tolerance on the displacement norm, as a fraction of h.
 DEFAULT_TOLERANCE_FACTOR = 1e-6
 
-# Largest Newton factor on a normal step coefficient; 1/(-lambda) grows
+# Largest Newton factor on a normal step coefficient; 1/(-kappa) grows
 # without bound where the density is flat across the ridge.  Over the 92
 # ridge fits of the ridge_narrow, select_split and select_bootstrap
 # benchmark workloads at seeds 0 and 1, plain SCMS took 2.98M
 # trajectory-steps and left 93 trajectories at max_iterations.  Caps of
-# 2, 3, 4, 8 and 20 took 1.58M, 1.19M, 1.05M, 0.95M and 0.98M steps and
-# left 39, 47, 57, 45 and 72.  Above 4 the select_bootstrap ridge loss
-# grew (seed 0: 0.0898 at 4, 0.0900 at 8 and 20; seed 1: 0.0887 at 4,
-# 0.0893 at 20).  Where the eigenbasis turns fast along the normal, a
-# stretched step can overshoot and oscillate; see CHANGES.md.
+# 2, 4, 8 and 20 took 1.43M, 0.77M, 0.62M and 0.60M steps and left 15,
+# 3, 5 and 10 there (6, 1, 4 and 9 of them stopped by plain SCMS).
 _NEWTON_CAP = 4.0
 
 # Largest grid mesh accepted.  A step sums each mesh point only over the
@@ -231,6 +232,36 @@ def _log_hessian_basis(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: int):
     return _descending_eigh(mat)
 
 
+def _newton_scale(s0: np.ndarray, s1: np.ndarray, s3: np.ndarray, lam: np.ndarray,
+                  vec: np.ndarray) -> np.ndarray:
+    """Newton factors, (q, d), for the coefficients of m(x) - x in ``vec``.
+
+    With u = (x - X_i) / h, expectations E over the kernel weights,
+    lam, v the eigenpairs of h^2 grad grad log p and m_k = E[u] . v_k,
+    coefficient c_j = v_j . (m(x) - x) changes along v_j at the rate
+
+        kappa_j = lam_j + sum_{k != j} m_k K_kj / (lam_j - lam_k),
+        K_kj = E[(u . v_k) (u . v_j)^2] - m_k (1 + lam_j + m_j^2).
+
+    K_kj is the third cumulant of u along v_k, v_j, v_j, from the
+    order-3 sums ``s3``; the sum is the turning of the eigenbasis.  The
+    factor is min(1/(-kappa_j), _NEWTON_CAP), at least 1, where
+    kappa_j < 0, and 1 elsewhere, including where two eigenvalues tie.
+    Column 0 (the tangent) is returned but not used.
+    """
+    d = lam.shape[1]
+    mu = s1 / s0[:, None]
+    m = np.einsum("qa,qak->qk", mu, vec)
+    e3 = np.einsum("qabc,qak,qbj,qcj->qkj", s3 / s0[:, None, None, None], vec, vec, vec)
+    cumulant = e3 - m[:, :, None] * (1.0 + lam + m * m)[:, None, :]  # [q, k, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turn = np.where(np.eye(d, dtype=bool), 0.0,
+                        m[:, :, None] * cumulant / (lam[:, None, :] - lam[:, :, None]))
+        kappa = lam + turn.sum(axis=1)
+        newton = np.clip(1.0 / np.maximum(-kappa, 1.0 / _NEWTON_CAP), 1.0, _NEWTON_CAP)
+    return np.where(kappa < 0.0, newton, 1.0)
+
+
 def _step_batch(model: KernelModel, x: np.ndarray):
     """One Newton-scaled SCMS step for a batch of points.
 
@@ -239,15 +270,12 @@ def _step_batch(model: KernelModel, x: np.ndarray):
     unchanged.
     """
     h = model.bandwidth
-    s0, s1, s2 = _kernel_sums(model.data.points, x, h, order=2, cells=model.cells)
+    s0, s1, s2, s3 = _kernel_sums(model.data.points, x, h, order=3, cells=model.cells)
     ok = s0 > 0.0
     safe = np.where(ok, s0, 1.0)
     shift = -(h * s1) / safe[:, None]  # m(x) - x
     lam, vec = _log_hessian_basis(safe, s1, s2, model.d)
-    # Newton step on log p along each normal eigendirection with lam < 0:
-    # lam >= -1, so the factor 1/(-lam) is >= 1; clip it at _NEWTON_CAP.
-    scale = np.where(lam < 0.0, 1.0 / np.maximum(-lam, 1.0 / _NEWTON_CAP), 1.0)
-    delta = _project_normal(vec, shift, scale)
+    delta = _project_normal(vec, shift, _newton_scale(safe, s1, s3, lam, vec))
     x_next = np.where(ok[:, None], x + delta, x)
     return x_next, ok
 
@@ -257,9 +285,8 @@ def scms_step(model: KernelModel, x) -> np.ndarray:
 
     Returns x + V D V^T (m(x) - x), where m(x) is the kernel-weighted
     mean of the data around x, V collects the trailing d-1 eigenvectors
-    of the log-density Hessian at x, and the diagonal D holds one factor
-    in [1, 4] per column (1 where the eigenvalue is >= 0; see the module
-    docstring).  Fixed points satisfy V V^T grad p(x) = 0, the same as
+    of the log-density Hessian at x, and the diagonal D holds one Newton
+    factor in [1, 4] per column (see the module docstring).  Fixed points satisfy V V^T grad p(x) = 0, the same as
     for the plain SCMS step x + V V^T (m(x) - x).  In d=1 the normal
     subspace is empty, so the step is always the zero displacement.
 

@@ -5,6 +5,7 @@ against an independent pure-python kernel-sum oracle (plain loops over
 math.exp, no shared code with the implementation).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -315,7 +316,7 @@ class TestKernelModel:
 
 
 def truncation_bounds(n):
-    """Largest |truncated - dense| allowed for s0, s1 and s2 at n points.
+    """Largest |truncated - dense| allowed for s0 to s3 at n points.
 
     Leftover terms have |u| > c on some axis; every term is at most 1
     in magnitude, so both sums also carry up to about log2(n) eps n of
@@ -323,12 +324,12 @@ def truncation_bounds(n):
     """
     tail = n * math.exp(-0.5 * _CUTOFF**2)
     roundoff = 64 * np.finfo(float).eps * n
-    return [tail * _CUTOFF**k + roundoff for k in range(3)]
+    return [tail * _CUTOFF**k + roundoff for k in range(4)]
 
 
 def assert_within_truncation_bound(points, queries, h):
-    got = _kernel_sums(points, queries, h, order=2)
-    ref = _dense_sums(points, queries, h, order=2)
+    got = _kernel_sums(points, queries, h, order=3)
+    ref = _dense_sums(points, queries, h, order=3)
     for k, (a, b, bound) in enumerate(zip(got, ref, truncation_bounds(len(points)))):
         assert np.abs(a - b).max() <= bound, f"s{k}"
 
@@ -431,7 +432,7 @@ class TestTruncatedSums:
                 for a in range(1, d):
                     sq = sq + u[..., a] * u[..., a]
                 w = np.exp(-0.5 * sq)
-                s0, s1, s2 = _dense_sums(pts, queries, h, order=2)
+                s0, s1, s2, s3 = _dense_sums(pts, queries, h, order=3)
                 np.testing.assert_array_equal(s0, np.sum(w, axis=-1))
                 for a in range(d):
                     np.testing.assert_array_equal(s1[:, a], np.sum(w * u[..., a], axis=-1))
@@ -439,6 +440,10 @@ class TestTruncatedSums:
                         v = np.sum(w * u[..., a] * u[..., b], axis=-1)
                         np.testing.assert_array_equal(s2[:, a, b], v)
                         np.testing.assert_array_equal(s2[:, b, a], v)
+                        for c in range(b, d):
+                            v = np.sum(w * u[..., a] * u[..., b] * u[..., c], axis=-1)
+                            for i, j, k in itertools.permutations((a, b, c)):
+                                np.testing.assert_array_equal(s3[:, i, j, k], v)
 
     def test_whole_call_dense_bit_identical(self):
         rng = np.random.default_rng(103)
@@ -447,7 +452,7 @@ class TestTruncatedSums:
             pts = rng.uniform(0.0, 2.0, (200, d))
             queries = rng.uniform(-3.0, 5.0, (150, d))
             assert _Cells.build(pts, 0.1) is None
-            for order in (0, 1, 2):
+            for order in (0, 1, 2, 3):
                 got = _kernel_sums(pts, queries, 0.1, order)
                 for a, b in zip(got, _dense_sums(pts, queries, 0.1, order)):
                     np.testing.assert_array_equal(a, b)

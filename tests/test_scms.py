@@ -19,8 +19,8 @@ from ridgecover import (
     hessian,
     scms_step,
 )
-from ridgecover.kde import _CUTOFF, _Cells
-from ridgecover.scms import _step_batch
+from ridgecover.kde import _CUTOFF, _Cells, _kernel_sums
+from ridgecover.scms import _log_hessian_basis, _newton_scale, _step_batch
 
 
 def ring_cloud(seed=7, n=2000, radius=2.0, sigma=0.2):
@@ -254,6 +254,32 @@ class TestExtractRidgeConsistency:
             assert converged.sum() == len(ridge) > 0
             np.testing.assert_array_equal(ridge.positions, np.array(finals)[converged])
             np.testing.assert_array_equal(ridge.iterations, np.array(iters)[converged])
+
+    def test_newton_factor_inverts_the_normal_slope(self):
+        # Where the factor is not clipped it is -1/kappa, kappa the rate
+        # at which the normal coefficient v . (m(x) - x) changes along v,
+        # turning of the eigenbasis included: check against differences.
+        cloud = ring_cloud(n=600)
+        for h in (0.1, 0.25):
+            model = KernelModel(cloud, h)
+
+            def parts(x):
+                s0, s1, s2, s3 = _kernel_sums(cloud.points, x, h, 3, cells=model.cells)
+                lam, vec = _log_hessian_basis(s0, s1, s2, 2)
+                return -h * s1 / s0[:, None], lam, vec, _newton_scale(s0, s1, s3, lam, vec)
+
+            shift, _, vec, scale = parts(cloud.points)
+            v = vec[:, :, 1]
+            inside = (scale[:, 1] > 1.01) & (scale[:, 1] < 3.99)
+            assert inside.sum() > 50
+            eps = 1e-5 * h
+            coefs = []
+            for x in (cloud.points + eps * v, cloud.points - eps * v):
+                shift_x, _, vec_x, _ = parts(x)
+                normal = vec_x[:, :, 1] * np.sign(np.sum(vec_x[:, :, 1] * v, axis=1))[:, None]
+                coefs.append(np.sum(shift_x * normal, axis=1))
+            slope = (coefs[0] - coefs[1]) / (2 * eps)
+            np.testing.assert_allclose(slope[inside], -1.0 / scale[inside, 1], atol=1e-4)
 
     def test_endpoints_are_fixed_points_of_the_step(self):
         # A scaled step only stretches the normal coefficients of the
