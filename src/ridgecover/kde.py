@@ -214,8 +214,8 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
         s3[q, a, b, c] = sum_i w_i u_i[a] u_i[b] u_i[c]   (order 3 only)
 
     s0, s1 and s2 come back as a 3-tuple, None above ``order``; order 3
-    appends s3.  Normalization constants are left to the callers.  The data are
-    binned into sub-cells of side ``_CUTOFF * h / 2``, and each row sums
+    appends s3.  Normalization constants are left to the callers.  The
+    data are binned into sub-cells of side ``_CUTOFF * h / 2``, and each row sums
     only over the data in the box of sub-cells within two of its own on
     every split axis (see :class:`_Cells` for the bound on what is left
     out).  ``cells`` holds that binning of ``points`` at ``h``; callers

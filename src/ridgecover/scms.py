@@ -286,9 +286,10 @@ def scms_step(model: KernelModel, x) -> np.ndarray:
     Returns x + V D V^T (m(x) - x), where m(x) is the kernel-weighted
     mean of the data around x, V collects the trailing d-1 eigenvectors
     of the log-density Hessian at x, and the diagonal D holds one Newton
-    factor in [1, 4] per column (see the module docstring).  Fixed points satisfy V V^T grad p(x) = 0, the same as
-    for the plain SCMS step x + V V^T (m(x) - x).  In d=1 the normal
-    subspace is empty, so the step is always the zero displacement.
+    factor in [1, 4] per column (see the module docstring).  Fixed points
+    satisfy V V^T grad p(x) = 0, the same as for the plain SCMS step
+    x + V V^T (m(x) - x).  In d=1 the normal subspace is empty, so the
+    step is always the zero displacement.
 
     Raises :class:`DivergenceError` when the density underflows at x.
     """
