@@ -165,6 +165,11 @@ def _grid_entry_task(args):
     return risk_bootstrap(data, h, replicates, cfg, stream, workers=1)
 
 
+def _check_split_size(data: PointCloud) -> None:
+    if data.n < 4:
+        raise ValueError(f"data splitting needs n >= 4, got n={data.n}")
+
+
 def risk_split(
     data: PointCloud,
     h: float,
@@ -181,8 +186,7 @@ def risk_split(
     The two halves may be fitted in parallel; results do not depend on
     ``workers``.
     """
-    if data.n < 4:
-        raise ValueError(f"data splitting needs n >= 4, got n={data.n}")
+    _check_split_size(data)
     if rng is None:
         rng = np.random.default_rng()
     perm = rng.permutation(data.n)
@@ -283,6 +287,8 @@ def select_bandwidth(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    if method == "split":
+        _check_split_size(data)
     grid = [float(h) for h in np.atleast_1d(np.asarray(grid, dtype=float))]
     if not grid:
         raise ValueError("bandwidth grid is empty")

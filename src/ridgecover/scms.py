@@ -2,32 +2,32 @@
 
 Mesh points are iterated along the mean-shift displacement projected
 onto the local normal subspace until they land on a ridge of the kernel
-density estimate.  The normal subspace at x is spanned by the trailing
-d-1 eigenvectors of the log-density Hessian (the local inverse
-covariance), the convention of the original algorithm: it sends
+density estimate.  The step and the endpoint diagnostics both work in
+one frame per point, built by ``_normal_frame`` from the raw kernel
+sums of :mod:`ridgecover.kde`: the eigenpairs lam_k, v_k of
+h^2 grad grad log p (the local inverse covariance), descending and
+numbered from 0, and the coefficients m_k = E[u] . v_k of the mean
+kernel offset u = (x - X_i) / h.  The mean-shift displacement is
+m(x) - x = -h E[u] = h^2 grad log p.  The normal subspace is spanned
+by v_1..v_{d-1}, the convention of the original algorithm: it sends
 points sitting on the outer slopes of a filament inward instead of
 leaving them stranded on spurious transverse crests.  Ridge membership
 itself is tested on the plain density Hessian: a retained point has
 lambda2 < 0 there, matching the ridge definition.
 
-For the Gaussian kernel the mean-shift displacement has the closed form
-m(x) - x = -h * s1 / s0 = h^2 grad log p in terms of the raw kernel
-sums, which this module reuses from :mod:`ridgecover.kde`.
-
-Plain SCMS converges only linearly: each step shrinks the normal
-coefficient c_j = v_j . (m(x) - x) by the factor 1 + kappa_j, where
-kappa_j is the rate at which c_j changes along v_j, so it crawls where
-kappa_j is near 0, as where the density is flat across the ridge.  Each
-normal coefficient with kappa_j < 0 is therefore multiplied by
-min(1/(-kappa_j), 4), and at least 1: a Newton step on c_j.  kappa_j is
-the eigenvalue lambda_j of h^2 grad grad log p plus a term from the
-eigenbasis turning as x moves, which needs third kernel moments (see
-``_newton_scale``); with lambda_j alone the stretched step overshoots
-and oscillates where the basis turns fast, at filament ends and clumps.
-The factor is never below 1 and never 0, so the step vanishes exactly
-where the SCMS step does and the fixed points, V V^T grad p = 0, are
-those of plain SCMS.  Only the path to them, and so which point of the
-ridge a trajectory ends on, changes.
+Plain SCMS, the step -h sum_{j >= 1} m_j v_j, converges only linearly:
+each step shrinks the normal coefficient c_j = -h m_j by the factor
+1 + kappa_j, where kappa_j is the rate at which c_j changes along v_j,
+so it crawls where kappa_j is near 0, as where the density is flat
+across the ridge.  Each normal coefficient with kappa_j < 0 is therefore
+multiplied by min(1/(-kappa_j), 4), and at least 1: a Newton step on
+c_j.  kappa_j is lam_j plus a term from the eigenbasis turning as x
+moves, which needs third kernel moments (see ``_newton_scale``); with
+lam_j alone the stretched step overshoots and oscillates where the
+basis turns fast, at filament ends and clumps.  The factor is never
+below 1 and never 0, so the fixed points, V V^T grad p = 0, are those
+of plain SCMS; only which point of the ridge a trajectory ends on
+changes.
 """
 
 from __future__ import annotations
@@ -181,64 +181,35 @@ class RidgeSet:
         return meta
 
 
-def _descending_eigh(mats: np.ndarray):
-    """Eigendecompose symmetric (q, d, d) matrices, eigenvalues descending.
+def _normal_frame(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray):
+    """The SCMS frame at each query, from raw kernel sums: (lam, vec, m).
 
-    Eigenvector signs are fixed so the first nonzero coordinate of each
-    vector is positive; V V^T is unaffected but runs become
-    reproducible bit-for-bit.
+    With u = (x - X_i) / h and E the mean over the kernel weights,
+    h^2 grad grad log p = E[u u^T] - I - E[u] E[u]^T, a weighted
+    covariance of the bounded kernel offsets minus I, so it stays well
+    conditioned even where the density is close to underflow and its
+    eigenvalues are >= -1.  ``lam`` (q, d) holds them descending, the
+    columns of ``vec`` (q, d, d) the matching eigenvectors, and
+    m_k = E[u] . v_k, so the mean-shift step m(x) - x = -h E[u] has
+    coefficient -h m_k along v_k.  Eigenvector signs are left as
+    ``eigh`` returns them: every use takes an even number of factors
+    v_k, so flipping one changes no result, not even by rounding.
     """
-    lam, vec = np.linalg.eigh(mats)  # ascending
-    lam = lam[:, ::-1]
-    vec = vec[:, :, ::-1]
-    nz = vec != 0.0
-    first = np.argmax(nz, axis=1)  # (q, d) index of first nonzero row per column
-    lead = np.take_along_axis(vec, first[:, None, :], axis=1)[:, 0, :]
-    sign = np.where(lead < 0.0, -1.0, 1.0)
-    return np.ascontiguousarray(lam), np.ascontiguousarray(vec * sign[:, None, :])
+    d = s1.shape[1]
+    mu = s1 / s0[:, None]
+    mat = s2 / s0[:, None, None] - np.eye(d) - mu[:, :, None] * mu[:, None, :]
+    lam, vec = np.linalg.eigh(mat)  # ascending
+    lam = np.ascontiguousarray(lam[:, ::-1])
+    vec = np.ascontiguousarray(vec[:, :, ::-1])
+    return lam, vec, np.einsum("qa,qak->qk", mu, vec)
 
 
-def _project_normal(vec: np.ndarray, t: np.ndarray, scale=None) -> np.ndarray:
-    """Apply V diag(scale) V^T to each row of t, V = trailing d-1 eigenvectors.
+def _newton_scale(s0: np.ndarray, s3: np.ndarray, lam: np.ndarray, vec: np.ndarray,
+                  m: np.ndarray) -> np.ndarray:
+    """Newton factors, (q, d), for the step coefficients in the frame.
 
-    ``vec`` is (q, d, d) with columns in descending eigenvalue order;
-    the leading column (ridge tangent candidate) is dropped.  ``scale``
-    is None (plain projection V V^T) or (q, d) per-column factors, of
-    which the leading one is ignored.  Written as trailing-axis
-    reductions to stay off BLAS.
-    """
-    v = vec[:, :, 1:]  # (q, d, k), k = d - 1
-    if v.shape[2] == 0:
-        return np.zeros_like(t)
-    vt = np.ascontiguousarray(np.swapaxes(v, 1, 2))  # (q, k, d)
-    coef = np.sum(vt * t[:, None, :], axis=2)  # (q, k)
-    if scale is not None:
-        coef = coef * scale[:, 1:]
-    return np.sum(v * coef[:, None, :], axis=2)  # (q, d)
-
-
-def _log_hessian_basis(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: int):
-    """Eigenpairs of h^2 * grad grad log p from raw kernel sums.
-
-    grad grad log p equals ((s2 - s0*I)/s0 - s1 s1^T / s0^2) / h^2, so
-    h^2 times it is a weighted covariance of the kernel offsets minus I,
-    and its eigenvalues are >= -1.  Built from weighted means of the
-    bounded kernel offsets, it stays well conditioned even where the
-    density itself is close to underflow.  Eigenvalues come descending.
-    """
-    mean1 = s1 / s0[:, None]
-    mean2 = s2 / s0[:, None, None]
-    mat = mean2 - np.eye(d) - mean1[:, :, None] * mean1[:, None, :]
-    return _descending_eigh(mat)
-
-
-def _newton_scale(s0: np.ndarray, s1: np.ndarray, s3: np.ndarray, lam: np.ndarray,
-                  vec: np.ndarray) -> np.ndarray:
-    """Newton factors, (q, d), for the coefficients of m(x) - x in ``vec``.
-
-    With u = (x - X_i) / h, expectations E over the kernel weights,
-    lam, v the eigenpairs of h^2 grad grad log p and m_k = E[u] . v_k,
-    coefficient c_j = v_j . (m(x) - x) changes along v_j at the rate
+    With lam, vec, m the frame of :func:`_normal_frame`, coefficient
+    c_j = v_j . (m(x) - x) = -h m_j changes along v_j at the rate
 
         kappa_j = lam_j + sum_{k != j} m_k K_kj / (lam_j - lam_k),
         K_kj = E[(u . v_k) (u . v_j)^2] - m_k (1 + lam_j + m_j^2).
@@ -250,8 +221,6 @@ def _newton_scale(s0: np.ndarray, s1: np.ndarray, s3: np.ndarray, lam: np.ndarra
     Column 0 (the tangent) is returned but not used.
     """
     d = lam.shape[1]
-    mu = s1 / s0[:, None]
-    m = np.einsum("qa,qak->qk", mu, vec)
     e3 = np.einsum("qabc,qak,qbj,qcj->qkj", s3 / s0[:, None, None, None], vec, vec, vec)
     cumulant = e3 - m[:, :, None] * (1.0 + lam + m * m)[:, None, :]  # [q, k, j]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -265,17 +234,19 @@ def _newton_scale(s0: np.ndarray, s1: np.ndarray, s3: np.ndarray, lam: np.ndarra
 def _step_batch(model: KernelModel, x: np.ndarray):
     """One Newton-scaled SCMS step for a batch of points.
 
-    Returns (x_next, ok) where ok is False for rows whose kernel sum
-    underflowed (density numerically zero).  Bad rows are passed through
-    unchanged.
+    The step is -h sum_{j >= 1} v_j m_j f_j over the normal columns of
+    the frame (:func:`_normal_frame`), f the Newton factors; written as
+    a trailing-axis sum to stay off BLAS.  Returns (x_next, ok) where ok
+    is False for rows whose kernel sum underflowed (density numerically
+    zero).  Bad rows are passed through unchanged.
     """
     h = model.bandwidth
     s0, s1, s2, s3 = _kernel_sums(model.data.points, x, h, order=3, cells=model.cells)
     ok = s0 > 0.0
     safe = np.where(ok, s0, 1.0)
-    shift = -(h * s1) / safe[:, None]  # m(x) - x
-    lam, vec = _log_hessian_basis(safe, s1, s2, model.d)
-    delta = _project_normal(vec, shift, _newton_scale(safe, s1, s3, lam, vec))
+    lam, vec, m = _normal_frame(safe, s1, s2)
+    coef = -h * (m * _newton_scale(safe, s3, lam, vec, m))[:, 1:]
+    delta = np.sum(vec[:, :, 1:] * coef[:, None, :], axis=2)
     x_next = np.where(ok[:, None], x + delta, x)
     return x_next, ok
 
@@ -283,11 +254,11 @@ def _step_batch(model: KernelModel, x: np.ndarray):
 def scms_step(model: KernelModel, x) -> np.ndarray:
     """Advance one point by a single Newton-scaled SCMS step.
 
-    Returns x + V D V^T (m(x) - x), where m(x) is the kernel-weighted
-    mean of the data around x, V collects the trailing d-1 eigenvectors
-    of the log-density Hessian at x, and the diagonal D holds one Newton
-    factor in [1, 4] per column (see the module docstring).  Fixed points
-    satisfy V V^T grad p(x) = 0, the same as for the plain SCMS step
+    Returns x - h sum_{j >= 1} v_j m_j f_j in the frame of
+    ``_normal_frame`` at x (normal eigenvectors v_j of the log-density
+    Hessian, m_j = E[u] . v_j with E[u] = (x - m(x)) / h), with one
+    Newton factor f_j in [1, 4] per column (see the module docstring).
+    Fixed points satisfy V V^T grad p(x) = 0, as for the plain SCMS step
     x + V V^T (m(x) - x).  In d=1 the normal subspace is empty, so the
     step is always the zero displacement.
 
@@ -327,14 +298,16 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     stops when its displacement norm drops below the tolerance or after
     ``max_iterations`` steps.  The scaled steps converge fast near the
     ridge, so a stopped trajectory ends close to its limit, a point
-    where the plain SCMS step vanishes too.  A trajectory diverges
+    where the plain SCMS step vanishes too.  Only converged endpoints
+    get diagnostics; ``projected_gradient_norm`` is
+    |V V^T grad p| = (p/h) |m_{1:}| in the frame of ``_normal_frame``,
+    since grad p = -(p/h) E[u].  A trajectory diverges
     when it reaches a point with no data in its box of sub-cells, which
     reaches between 7.4*h and 11.1*h from it along each axis; there the
-    truncated kernel sum is exactly zero.
-    Diverged and non-converged points are discarded, as are points
-    with a nonnegative second eigenvalue,
-    points where the two leading eigenvalues tie exactly (ridge
-    orientation undefined), and points whose density falls below
+    truncated kernel sum is exactly zero.  Diverged and non-converged
+    points are discarded, as are points with a nonnegative second
+    eigenvalue, points where the two leading eigenvalues tie exactly
+    (ridge orientation undefined), and points whose density falls below
     ``density_threshold_fraction`` times the maximum fitted density over
     the converged endpoints and the data points.
 
@@ -342,13 +315,12 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     exception.
     """
     model = KernelModel(data, h)
-    mesh = _build_mesh(data, cfg)
-    if mesh.shape[0] == 0:
+    x = _build_mesh(data, cfg)
+    nq = x.shape[0]
+    if nq == 0:
         raise ValueError("mesh is empty")
     tol = cfg.resolved_tolerance(h)
 
-    x = mesh.copy()
-    nq = x.shape[0]
     converged = np.zeros(nq, dtype=bool)
     iters = np.zeros(nq, dtype=int)
     active = np.arange(nq)
@@ -364,35 +336,27 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
         converged[active[done]] = True
         active = active[ok & ~done]
 
-    # Final diagnostics at the trajectory endpoints.  Membership uses the
-    # plain Hessian eigenvalues; the convergence residual uses the same
-    # log-Hessian basis the iteration projected onto.
+    # Membership uses the plain Hessian eigenvalues, the residual the frame
+    # the steps were taken in.
+    x = x[converged]
+    iters = iters[converged]
     s0, s1, s2 = _kernel_sums(data.points, x, h, order=2, cells=model.cells)
     norm = _norm_const(data.n, data.d, h)
     dens = s0 * norm
-    grad = s1 * (-norm / h)
-    raw_hess = s2 - s0[:, None, None] * np.eye(data.d)
-    lam_raw, _ = _descending_eigh(raw_hess)
-    lam = lam_raw * (norm / h**2)
-    safe = np.where(s0 > 0.0, s0, 1.0)
-    _, vec = _log_hessian_basis(safe, s1, s2, data.d)
-    pg = _project_normal(vec, grad)
-    pg_norm = np.sqrt(np.sum(pg * pg, axis=1))
+    lam = np.linalg.eigvalsh(s2 - s0[:, None, None] * np.eye(data.d))[:, ::-1] * (norm / h**2)
+    _, _, m = _normal_frame(np.where(s0 > 0.0, s0, 1.0), s1, s2)
+    pg_norm = dens / h * np.sqrt(np.sum(m[:, 1:] ** 2, axis=1))
     # In d=1 there is no second eigenvalue; the only one plays its role,
     # so a retained point need only have p'' < 0.  The step is zero there,
     # so endpoints are not moved to the modes.
     lam2 = lam[:, 1] if data.d >= 2 else lam[:, 0]
 
     data_density = _kernel_sums(data.points, data.points, h, order=0, cells=model.cells)[0] * norm
-    candidates = converged & (lam2 < 0.0)
-    if data.d >= 2:
-        candidates &= lam[:, 0] > lam[:, 1]
-    peak = float(max(
-        dens[converged].max() if np.any(converged) else 0.0,
-        data_density.max(),
-    ))
+    peak = float(max(dens.max(initial=0.0), data_density.max()))
     threshold = cfg.density_threshold_fraction * peak
-    retained = candidates & (dens >= threshold)
+    retained = (lam2 < 0.0) & (dens >= threshold)
+    if data.d >= 2:
+        retained &= lam[:, 0] > lam[:, 1]
 
     return RidgeSet(
         positions=x[retained],

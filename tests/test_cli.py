@@ -117,6 +117,16 @@ class TestRidge:
         # header only, still naming both coordinates
         assert rows == ["x0,x1,density,projected_gradient_norm,lambda2"]
 
+    def test_tiny_h_on_three_points_gives_empty_ridge(self, three_point_csv, tmp_path,
+                                                      capsys):
+        out = tmp_path / "ridge"
+        assert run(["ridge", "--input", three_point_csv, "--h", "0.001",
+                    "--output-dir", out]) == 0
+        assert "warning: ridge is empty" in capsys.readouterr().err
+        rows = read(out / "ridge.csv").strip().splitlines()
+        assert rows == ["x0,x1,density,projected_gradient_norm,lambda2"]
+        assert json.loads(read(out / "ridge.json"))["n_ridge_points"] == 0
+
     def test_grid_mesh_flag(self, ring_csv, tmp_path):
         out = tmp_path / "gridmesh"
         assert run(["ridge", "--input", ring_csv, "--h", "0.3",

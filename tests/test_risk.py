@@ -20,6 +20,7 @@ from ridgecover import (
     risk_split,
     select_bandwidth,
 )
+from ridgecover import risk
 
 
 class IdentityRng:
@@ -220,6 +221,17 @@ class TestSelectBandwidth:
             select_bandwidth(cloud, [0.1], method="jackknife")
         with pytest.raises(ValueError):
             select_bandwidth(cloud, [0.1], objective="l3")
+
+    def test_split_on_three_points_rejected_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", no_pool)
+        data = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert normal_reference_bandwidth(data) > 0.2
+        with pytest.raises(ValueError, match="n >= 4"):
+            select_bandwidth(data, [0.1, 0.2], method="split", workers=2,
+                             rng=np.random.default_rng(0))
 
 
 class TestRiskTypes:

@@ -12,15 +12,17 @@ from ridgecover import (
     PointCloud,
     RidgeSet,
     ScmsConfig,
+    SyntheticSpec,
     density,
     extract_ridge,
+    generate,
     gradient,
     hausdorff,
     hessian,
     scms_step,
 )
 from ridgecover.kde import _CUTOFF, _Cells, _kernel_sums
-from ridgecover.scms import _log_hessian_basis, _newton_scale, _step_batch
+from ridgecover.scms import _newton_scale, _normal_frame, _step_batch
 
 
 def ring_cloud(seed=7, n=2000, radius=2.0, sigma=0.2):
@@ -155,6 +157,29 @@ class TestExtractRidge:
                      "iterations"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
+    def test_eigenvector_signs_change_nothing(self, monkeypatch):
+        # Each use of the frame takes every eigenvector an even number of
+        # times and negating a double is exact, so whatever signs eigh
+        # returns, not one output bit may change.
+        helix, _ = generate(SyntheticSpec("helix", n=400, noise_sigma=0.1, seed=2))
+        fits = [(ring_cloud(n=400), 0.1), (ring_cloud(n=400), 0.4), (helix, 0.1)]
+        expected = [extract_ridge(cloud, h) for cloud, h in fits]
+        eigh, rng, calls = np.linalg.eigh, np.random.default_rng(0), []
+
+        def flipped(a):
+            lam, vec = eigh(a)
+            calls.append(len(vec))
+            return lam, vec * rng.choice([-1.0, 1.0], size=vec.shape[:-2] + (1, vec.shape[-1]))
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped)
+        for (cloud, h), a in zip(fits, expected):
+            b = extract_ridge(cloud, h)
+            assert len(a) > 0 and b.density_threshold == a.density_threshold
+            for name in ("positions", "density", "projected_gradient_norm", "lambda2",
+                         "iterations"):
+                np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+        assert sum(calls) > 0
+
     def test_translation_equivariance(self):
         cloud = ring_cloud(n=300)
         shift = np.array([12.0, -7.5])
@@ -265,8 +290,8 @@ class TestExtractRidgeConsistency:
 
             def parts(x):
                 s0, s1, s2, s3 = _kernel_sums(cloud.points, x, h, 3, cells=model.cells)
-                lam, vec = _log_hessian_basis(s0, s1, s2, 2)
-                return -h * s1 / s0[:, None], lam, vec, _newton_scale(s0, s1, s3, lam, vec)
+                lam, vec, m = _normal_frame(s0, s1, s2)
+                return -h * s1 / s0[:, None], lam, vec, _newton_scale(s0, s3, lam, vec, m)
 
             shift, _, vec, scale = parts(cloud.points)
             v = vec[:, :, 1]
