@@ -30,9 +30,18 @@ __all__ = [
     "hausdorff",
 ]
 
-# Absolute slack for the Jensen inequality check, covering float
-# round-off when the distance distribution is (near-)degenerate.
+# Slack for the Jensen inequality check, covering float round-off when
+# the distance distribution is (near-)degenerate; relative to loss2
+# above 1, so that one-ulp differences pass at any scale.
 _JENSEN_SLACK = 1e-12
+
+
+def _check_jensen(loss1: float, loss2: float, name: str = "loss") -> None:
+    """Raise unless loss1^2 <= loss2 up to round-off; an infinite loss2 passes."""
+    if loss1**2 > loss2 + _JENSEN_SLACK * max(1.0, loss2):
+        raise ValueError(
+            f"Jensen violation: {name}1^2={loss1**2} > {name}2={loss2}"
+        )
 
 
 @dataclass(frozen=True)
@@ -184,7 +193,4 @@ class LossPair:
     def __post_init__(self):
         if self.loss1 < 0.0 or self.loss2 < 0.0:
             raise ValueError("losses must be nonnegative")
-        if self.loss1**2 > self.loss2 + _JENSEN_SLACK:
-            raise ValueError(
-                f"Jensen violation: loss1^2={self.loss1**2} > loss2={self.loss2}"
-            )
+        _check_jensen(self.loss1, self.loss2)

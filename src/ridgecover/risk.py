@@ -1,15 +1,20 @@
 """Coverage-risk estimation and bandwidth selection.
 
 Two estimators of the expected (squared) projection distance between
-the fitted ridge and the truth are provided: data splitting (fit ridges
-on two random halves and measure their mutual coverage) and the
-smoothed bootstrap (refit on samples drawn from the KDE itself and
-measure coverage against the original ridge).  The bandwidth is then
-chosen as the risk minimizer over a grid capped by the normal reference
-rule, which is known to oversmooth.
+the fitted ridge and the truth are provided.  Each builds a fit list
+at bandwidth h and hands it to one scorer, which fits every entry and
+averages the coverage losses of each later ridge against the first:
 
-Bandwidths whose ridge comes out empty receive an infinite-risk
-sentinel so the minimizer simply avoids them.
+- data splitting lists two random halves of the data, so the risk is
+  the mutual coverage loss of their ridges;
+- the smoothed bootstrap lists the full data, then one sample drawn
+  from its KDE per replicate, so the risk is the mean loss of each
+  refitted ridge against the full-data ridge.
+
+A loss that involves an empty ridge is the infinite-risk sentinel, so
+the minimizer simply avoids that bandwidth.  The bandwidth is chosen as
+the risk minimizer over a grid capped by the normal reference rule,
+which is known to oversmooth.
 
 The bootstrap's full-data ridge at h is also the ridge a caller wants
 once h is chosen, so each bootstrap estimate carries it as ``ridge``.
@@ -21,12 +26,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from ._io import write_csv, write_json
-from .coverage import _JENSEN_SLACK, LossPair, loss_pair
+from .coverage import _check_jensen, loss_pair
 from .kde import KernelModel, PointCloud, normal_reference_bandwidth, sample_smoothed
 from .scms import RidgeSet, ScmsConfig, extract_ridge
 
@@ -67,15 +72,16 @@ class RiskEstimate:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.h <= 0.0:
             raise ValueError("h must be positive")
-        if math.isfinite(self.risk1) or math.isfinite(self.risk2):
-            if self.risk1**2 > self.risk2 + _JENSEN_SLACK:
-                raise ValueError(
-                    f"Jensen violation: risk1^2={self.risk1**2} > risk2={self.risk2}"
-                )
+        _check_jensen(self.risk1, self.risk2, "risk")
 
     @property
     def failed(self) -> bool:
         return not (math.isfinite(self.risk1) and math.isfinite(self.risk2))
+
+
+def _objective_values(entries, objective: str) -> list[float]:
+    """The risk each entry scores under ``objective``: risk1 for l1, else risk2."""
+    return [e.risk1 if objective == "l1" else e.risk2 for e in entries]
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,7 @@ class RiskCurve:
             raise ValueError("h_star does not attain the minimal estimated risk")
 
     def objective_values(self) -> list[float]:
-        if self.objective == "l1":
-            return [e.risk1 for e in self.entries]
-        return [e.risk2 for e in self.entries]
+        return _objective_values(self.entries, self.objective)
 
     def save_csv(self, path) -> None:
         write_csv(path, ["h", "risk1", "risk2", "method"],
@@ -123,13 +127,6 @@ class RiskCurve:
         write_json(path, {**self.summary(), **(extra or {})})
 
 
-def _ridge_losses(a: RidgeSet, b: RidgeSet) -> LossPair | None:
-    """Loss pair between two ridge meshes, or None if either is empty."""
-    if len(a) == 0 or len(b) == 0:
-        return None
-    return loss_pair(a.to_manifold(), b.to_manifold())
-
-
 def _map_ordered(fn, tasks, workers: int | None):
     """Run independent tasks, preserving input order in the results.
 
@@ -146,15 +143,38 @@ def _map_ordered(fn, tasks, workers: int | None):
         return list(pool.map(fn, tasks))
 
 
-def _half_ridge_task(args):
-    points, h, cfg = args
-    return extract_ridge(PointCloud(points), h, cfg)
+def _fit_task(args):
+    """Ridge at ``h`` of the points, or of a smoothed-bootstrap draw from them.
+
+    With ``stream`` None the points are fitted as given; otherwise n
+    points are drawn from their KDE at ``h`` with that stream and fitted.
+    """
+    points, h, cfg, stream = args
+    data = PointCloud(points)
+    if stream is not None:
+        data = sample_smoothed(KernelModel(data, h), data.n, stream)
+    return extract_ridge(data, h, cfg)
 
 
-def _bootstrap_replicate_task(args):
-    data_points, h, cfg, noise_h, count, stream = args
-    sampler = KernelModel(PointCloud(data_points), noise_h)
-    return extract_ridge(sample_smoothed(sampler, count, stream), h, cfg)
+def _estimate(tasks, method: str, workers: int | None) -> RiskEstimate:
+    """Fit every task and average the losses of each later ridge against the first.
+
+    A loss pair that involves an empty ridge counts as infinite risk.
+    The means are exact sums divided by the number of pairs, so they
+    depend on neither the evaluation order nor ``workers``.  The first
+    ridge is kept as ``ridge`` for the bootstrap, whose first task is
+    the full data.
+    """
+    first, *others = _map_ordered(_fit_task, tasks, workers)
+    losses = [
+        (INFINITE_RISK, INFINITE_RISK) if len(first) == 0 or len(other) == 0
+        else astuple(loss_pair(first.to_manifold(), other.to_manifold()))
+        for other in others
+    ]
+    risk1, risk2 = (math.fsum(column) / len(others) for column in zip(*losses))
+    return RiskEstimate(h=tasks[0][1], risk1=risk1, risk2=risk2, method=method,
+                        replicates=len(others),
+                        ridge=first if method == "bootstrap" else None)
 
 
 def _grid_entry_task(args):
@@ -168,6 +188,12 @@ def _grid_entry_task(args):
 def _check_split_size(data: PointCloud) -> None:
     if data.n < 4:
         raise ValueError(f"data splitting needs n >= 4, got n={data.n}")
+
+
+def _check_replicates(replicates) -> int:
+    if int(replicates) < 1:
+        raise ValueError("replicates must be >= 1")
+    return int(replicates)
 
 
 def risk_split(
@@ -191,17 +217,8 @@ def risk_split(
         rng = np.random.default_rng()
     perm = rng.permutation(data.n)
     cut = (data.n + 1) // 2
-    halves = _map_ordered(
-        _half_ridge_task,
-        [(data.points[perm[:cut]], h, cfg), (data.points[perm[cut:]], h, cfg)],
-        workers,
-    )
-    losses = _ridge_losses(*halves)
-    if losses is None:
-        return RiskEstimate(h=h, risk1=INFINITE_RISK, risk2=INFINITE_RISK,
-                            method="split", replicates=1)
-    return RiskEstimate(h=h, risk1=losses.loss1, risk2=losses.loss2,
-                        method="split", replicates=1)
+    halves = (data.points[perm[:cut]], data.points[perm[cut:]])
+    return _estimate([(half, h, cfg, None) for half in halves], "split", workers)
 
 
 def risk_bootstrap(
@@ -210,57 +227,23 @@ def risk_bootstrap(
     replicates: int = 10,
     cfg: ScmsConfig = ScmsConfig(),
     rng: np.random.Generator | None = None,
-    noise_bandwidth: float | None = None,
     workers: int | None = None,
 ) -> RiskEstimate:
     """Smoothed-bootstrap risk estimate at bandwidth ``h``.
 
-    Fits the ridge on the full data, then for each replicate draws n
-    points from the fitted KDE, refits, and measures the coverage losses
-    between the replicate ridge and the original one.  The full-data
-    ridge is returned as the estimate's ``ridge``.  Each replicate
-    draws from its own spawned RNG stream and replicate losses are
-    averaged with an exact sum, so the result depends on neither the
-    evaluation order nor ``workers``.
-
-    ``noise_bandwidth`` overrides the resampling noise scale (the
-    refitting bandwidth stays ``h``); intended for diagnostics and
-    tests, e.g. forcing a near-zero value degenerates the bootstrap to a
-    plain resample.
+    The fit list is the full data followed by one smoothed-bootstrap
+    draw per replicate: n points from the KDE at ``h``, each draw from
+    its own stream of ``rng.spawn(replicates)``.  The risk is the mean
+    coverage loss of each replicate ridge against the full-data ridge,
+    which is returned as the estimate's ``ridge`` (possibly empty, in
+    which case the risk is infinite).  All fits may run in parallel;
+    the result does not depend on ``workers``.
     """
-    if int(replicates) < 1:
-        raise ValueError("replicates must be >= 1")
-    replicates = int(replicates)
+    replicates = _check_replicates(replicates)
     if rng is None:
         rng = np.random.default_rng()
-    base = extract_ridge(data, h, cfg)
-    noise_h = noise_bandwidth if noise_bandwidth is not None else h
-    streams = rng.spawn(replicates)
-    loss1s, loss2s = [], []
-    if len(base) == 0:
-        loss1s = loss2s = [INFINITE_RISK] * replicates
-    else:
-        ridges = _map_ordered(
-            _bootstrap_replicate_task,
-            [(data.points, h, cfg, noise_h, data.n, s) for s in streams],
-            workers,
-        )
-        for ridge in ridges:
-            losses = _ridge_losses(base, ridge)
-            if losses is None:
-                loss1s.append(INFINITE_RISK)
-                loss2s.append(INFINITE_RISK)
-            else:
-                loss1s.append(losses.loss1)
-                loss2s.append(losses.loss2)
-    return RiskEstimate(
-        h=h,
-        risk1=math.fsum(loss1s) / replicates,
-        risk2=math.fsum(loss2s) / replicates,
-        method="bootstrap",
-        replicates=replicates,
-        ridge=base,
-    )
+    streams = [None, *rng.spawn(replicates)]
+    return _estimate([(data.points, h, cfg, s) for s in streams], "bootstrap", workers)
 
 
 def select_bandwidth(
@@ -289,6 +272,8 @@ def select_bandwidth(
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if method == "split":
         _check_split_size(data)
+    else:
+        _check_replicates(replicates)
     grid = [float(h) for h in np.atleast_1d(np.asarray(grid, dtype=float))]
     if not grid:
         raise ValueError("bandwidth grid is empty")
@@ -309,7 +294,7 @@ def select_bandwidth(
          for h, s in zip(kept, streams)],
         workers,
     )
-    values = [e.risk1 if objective == "l1" else e.risk2 for e in entries]
+    values = _objective_values(entries, objective)
     best = min(values)
     if not math.isfinite(best):
         raise ValueError(

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ridgecover import (
     INFINITE_RISK,
+    Manifold,
     PointCloud,
     RiskCurve,
     RiskEstimate,
@@ -15,12 +19,17 @@ from ridgecover import (
     SyntheticSpec,
     extract_ridge,
     generate,
+    loss_pair,
     normal_reference_bandwidth,
     risk_bootstrap,
     risk_split,
     select_bandwidth,
 )
 from ridgecover import risk
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
 
 
 class IdentityRng:
@@ -84,14 +93,13 @@ class TestRiskSplit:
 
 class TestRiskBootstrap:
     def test_degenerate_bootstrap_zero_risk(self):
-        # rigged rng resamples every point once; noise scale forced to
-        # ~0, so the replicate ridge equals the base ridge.
+        # rigged rng resamples every point once and its standard_normal
+        # returns zeros, so the noise is zero whatever its scale: the
+        # replicate is the data and its ridge equals the base ridge.
         cloud = ring_cloud(n=200)
-        est = risk_bootstrap(
-            cloud, 0.3, replicates=1, rng=IdentityRng(), noise_bandwidth=1e-12
-        )
-        assert est.risk1 <= 1e-8
-        assert est.risk2 <= 1e-8
+        est = risk_bootstrap(cloud, 0.3, replicates=1, rng=IdentityRng())
+        assert est.risk1 == 0.0
+        assert est.risk2 == 0.0
 
     def test_jensen(self):
         est = risk_bootstrap(
@@ -223,9 +231,6 @@ class TestSelectBandwidth:
             select_bandwidth(cloud, [0.1], objective="l3")
 
     def test_split_on_three_points_rejected_before_any_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
         monkeypatch.setattr(risk, "ProcessPoolExecutor", no_pool)
         data = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert normal_reference_bandwidth(data) > 0.2
@@ -233,11 +238,65 @@ class TestSelectBandwidth:
             select_bandwidth(data, [0.1, 0.2], method="split", workers=2,
                              rng=np.random.default_rng(0))
 
+    def test_zero_replicates_rejected_before_any_pool(self, monkeypatch):
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", no_pool)
+        data = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert normal_reference_bandwidth(data) > 0.2
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            select_bandwidth(data, [0.1, 0.2], method="bootstrap", replicates=0,
+                             workers=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["split", "bootstrap"])
+    def test_entries_use_one_spawned_stream_per_bandwidth(self, method, workers):
+        # entry k is the estimator at grid[k] run on stream k of
+        # rng.spawn(len(grid)), bit for bit, whatever the worker count.
+        cloud = ring_cloud(n=120)
+        grid = [0.2, 0.3]
+        curve = select_bandwidth(cloud, grid, method=method, replicates=2,
+                                 workers=workers, rng=np.random.default_rng(9))
+        assert [e.h for e in curve.entries] == grid
+        streams = np.random.default_rng(9).spawn(len(grid))
+        for entry, h, stream in zip(curve.entries, grid, streams):
+            if method == "split":
+                expected = risk_split(cloud, h, rng=stream, workers=1)
+            else:
+                expected = risk_bootstrap(cloud, h, replicates=2, rng=stream, workers=1)
+            assert entry == expected
+            if method == "bootstrap":
+                for name in ("positions", "density", "projected_gradient_norm",
+                             "lambda2", "iterations"):
+                    np.testing.assert_array_equal(getattr(entry.ridge, name),
+                                                  getattr(expected.ridge, name))
+
+
+@st.composite
+def mesh_pairs(draw):
+    """Two planar meshes of 1-6 points at one scale from 1e-3 to 1e6."""
+    scale = draw(st.floats(1e-3, 1e6))
+    unit = st.integers(1, 6).flatmap(
+        lambda m: hnp.arrays(np.float64, (m, 2), elements=st.floats(-1.0, 1.0)))
+    return draw(unit) * scale, draw(unit) * scale
+
 
 class TestRiskTypes:
     def test_jensen_enforced(self):
         with pytest.raises(ValueError):
             RiskEstimate(h=0.1, risk1=2.0, risk2=1.0, method="split", replicates=1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pair=mesh_pairs(), more=st.lists(mesh_pairs(), max_size=4))
+    @example(pair=(np.array([[0.0, -2.2497561371436747]]),
+                   np.array([[0.0, 3721.906732675493]])), more=[])
+    def test_jensen_holds_at_every_scale(self, pair, more):
+        # rounding makes loss1^2 exceed loss2 by an ulp at large scale
+        # (the example); neither the pair nor a replicate mean may raise.
+        losses = [loss_pair(Manifold(a), Manifold(b)) for a, b in [pair, *more]]
+        a, b = Manifold(pair[0]), Manifold(pair[1])
+        assert loss_pair(b, a) == losses[0]
+        RiskEstimate(h=0.1, method="bootstrap", replicates=len(losses),
+                     risk1=math.fsum(p.loss1 for p in losses) / len(losses),
+                     risk2=math.fsum(p.loss2 for p in losses) / len(losses))
 
     def test_curve_invariants_enforced(self):
         e = RiskEstimate(h=0.5, risk1=0.1, risk2=0.05, method="split", replicates=1)
