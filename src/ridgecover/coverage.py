@@ -78,10 +78,18 @@ def _nearest_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     A k-d tree locates the nearest neighbour of every query; the
     distance is then recomputed as the square root of the summed squared
     coordinate differences, so it equals a brute-force scan's
-    ``sqrt(min(sum((q - p)**2)))`` bit for bit.
+    ``sqrt(min(sum((q - p)**2)))`` bit for bit.  Raises ``ValueError``
+    when a squared distance overflows, as it does between sets more than
+    about 1.3e154 apart.
     """
     _, idx = cKDTree(points).query(queries, k=1, workers=1)
-    return np.sqrt(np.sum((queries - points[idx]) ** 2, axis=1))
+    found = idx < len(points)  # the tree returns index n when every distance overflows
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(np.sum((queries - points[np.where(found, idx, 0)]) ** 2, axis=1))
+    if not (found.all() and np.isfinite(dist).all()):
+        raise ValueError("squared distances between the point sets overflow float64; "
+                         "the sets lie more than about 1.3e154 apart")
+    return dist
 
 
 def distance_to_set(x, s: Manifold) -> float:

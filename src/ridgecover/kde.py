@@ -8,15 +8,19 @@ reference bandwidth rule used as an upper cap for bandwidth search.
 Every evaluation is a kernel sum truncated at a cutoff of
 c = 7.4 bandwidths (exp(-c^2/2) ~ 1.3e-12): the data are binned into
 sub-cells of side c*h/2, and a query sums only over the box of sub-cells
-within two of its own along each axis (the linked-cell method of
-molecular dynamics).  Each leftover term has |u| > c along some axis,
+within two of its own along each split axis (the linked-cell method of
+molecular dynamics).  An axis is split when the data occupy at least
+five sub-cells on it, the width of the box; along the others every
+point is a candidate.  Each leftover term has |u| > c along some axis,
 so n points change s0 by at most n e^(-c^2/2), the gradient and
 Hessian sums by at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), and the
 third moments (used by the SCMS step) by n c^3 e^(-c^2/2), plus
 round-off.  A query with no data in its box gets exactly zero density.
-When the cells would save little, the sum runs exactly over all the
-data.  A :class:`KernelModel` bins its data once, when first evaluated,
-and every later sum on that model reuses the same cells.
+When no axis is split, or the boxes of the data points themselves hold
+more than half of all n^2 pairs, the whole call instead runs exactly
+over all the data.  That choice depends only on the data and h.  A
+:class:`KernelModel` bins its data once, when first evaluated, and
+every later sum on that model reuses the same cells.
 
 Both paths gather blocks of at most about ``_PAIR_BLOCK`` terms and hand
 them to one routine for the Gaussian moments.  Every row is reduced on
@@ -68,13 +72,33 @@ _CUTOFF = 7.4
 # circles at h = 0.4, all dense, took 0.67 s against 1.44 s.
 _PAIR_BLOCK = 1 << 14
 
-# Queries are looked up this many rows at a time.  This bounds the
-# (rows, 5^(k-1)) int64 arrays of box rows, which for a grid mesh of up
-# to scms._MAX_GRID_POINTS = 10^6 queries in d=3 (25 box rows) would
+# Queries, and the data's occupied sub-cells when a call is routed, are
+# looked up this many rows at a time.  This bounds the (rows, 5^(k-1))
+# int64 arrays of box rows, which for a grid mesh of up to
+# scms._MAX_GRID_POINTS = 10^6 queries in d=3 (25 box rows) would
 # otherwise take hundreds of MiB.  The value was measured with 27
 # full-cell neighbours a row: on the helix (d=3) select run, 256 rows
 # peaked 1 MiB below 1024 rows, with order-2 sums timed alike.
 _LOOKUP_ROWS = 256
+
+# An axis is split when the data occupy at least this many sub-cells on
+# it, the width of a query's box; along a narrower axis every point is a
+# candidate.  Order-3 sums of the data at the data (1200-point helices at
+# h = 0.087-0.2, a 750-point spiral half at 0.17-0.29, a 2000-point
+# circle at 0.2-0.4; CPU time, 2 cores): splitting from 3 or 4 sub-cells
+# routed every cloud as 5 does, while waiting for 6 or 7 left the helices
+# at h = 0.12 and 0.15 split on z alone, with 62-73% of all pairs in the
+# boxes instead of 28-43%, and took 1.5-1.8x as long.
+_SPLIT_SUBCELLS = 5
+
+# The whole call goes dense when the boxes of the data points hold more
+# than this fraction of all n^2 pairs.  extract_ridge with the sums forced
+# onto each path (CPU time, 2 cores; circles, spirals and helices): at
+# n = 750-2000 the pair path took 0.37-0.64x the dense time below a half
+# of the pairs, 0.68-0.97x from 0.51 to 0.87, and 1.005x at 0.95; at
+# n = 300 it took 0.85-1.18x below a half and 0.96-1.22x above.  A half
+# keeps the pair path where it saves at least a third at n >= 750.
+_DENSE_FRACTION = 0.5
 
 
 def _as_points(points) -> np.ndarray:
@@ -229,8 +253,10 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     block size or the rest of the batch.
 
     The whole call is instead the exact sum over all the data
-    (:func:`_dense_sums`) when the data span at most 3 cells on every
-    axis or the cell indices would not be exact.
+    (:func:`_dense_sums`) when :meth:`_Cells.build` finds nothing worth
+    binning: no axis on which the data occupy at least five sub-cells,
+    boxes of the data points that hold more than half of all n^2 pairs,
+    or sub-cell indices that would not be exact.
     """
     if cells is _UNBUILT:
         cells = _Cells.build(points, h)
@@ -249,11 +275,12 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
 class _Cells(NamedTuple):
     """The data sorted into a grid of cubic sub-cells of side ``_CUTOFF * h / 2``.
 
-    The grid is anchored at the data minimum.  Only axes over which the
-    data span more than 3 cells of side c h (c = _CUTOFF) are split;
-    along the others every point is a candidate.  Each such cell holds
-    two sub-cells, and a ring of three empty sub-cells pads each split
-    axis.  A query's candidates are the data in the box of 5^k sub-cells
+    The grid is anchored at the data minimum, with c = _CUTOFF.  Only axes
+    on which the data occupy at least ``_SPLIT_SUBCELLS`` = 5 sub-cells,
+    the width of a box, are split; along the others every point is a
+    candidate.  On a split axis the occupied sub-cells are rounded up to
+    whole cells of side c h, and a ring of three empty sub-cells pads
+    each side.  A query's candidates are the data in the box of 5^k sub-cells
     within two of its own on every split axis.  Keys run row-major, with
     stride 1 on the last split axis, so each of the box's 5^(k-1) rows is
     one merged run of keys [key-2, key+2] found by two binary searches.
@@ -272,6 +299,12 @@ class _Cells(NamedTuple):
     side c h around the query's cell, so it never holds more candidates
     than they do.  Clipped queries may get far candidates too; their
     terms are computed exactly.
+
+    :meth:`build` routes the whole call dense (returns None) when the
+    boxes of the data points hold more than ``_DENSE_FRACTION`` = 1/2 of
+    all n^2 pairs, counted per occupied sub-cell as its points times its
+    box's candidates (:meth:`data_pairs`), since the pair path then saves
+    little; :meth:`bin` bins whatever the count.
     """
 
     lo: np.ndarray  # (k,) grid origin on the split axes
@@ -286,12 +319,24 @@ class _Cells(NamedTuple):
     @classmethod
     def build(cls, points: np.ndarray, h: float) -> "_Cells | None":
         """Bin the data; None when the whole call should go dense."""
+        cells = cls.bin(points, h)
+        n = points.shape[0]
+        if cells is None or cells.data_pairs() > _DENSE_FRACTION * n * n:
+            return None
+        return cells
+
+    @classmethod
+    def bin(cls, points: np.ndarray, h: float) -> "_Cells | None":
+        """Bin the data on every wide enough axis, whatever the box saves;
+        None when no axis is split or a sub-cell key would not be exact."""
         side = 0.5 * _CUTOFF * h
         lo = points.min(axis=0)
         cell = np.floor((points - lo) / side)
-        spans = np.floor(cell.max(axis=0) / 2.0) + 1.0  # in cells of side c h
-        axes = np.flatnonzero(spans > 3.0)
-        dims = 2.0 * spans[axes] + 6.0
+        top = cell.max(axis=0)
+        axes = np.flatnonzero(top >= _SPLIT_SUBCELLS - 1)
+        # The occupied sub-cells rounded up to whole cells of side c h, and
+        # the padding ring: a clipped query's box stays in its 3^k cells.
+        dims = 2.0 * np.floor(top[axes] / 2.0) + 8.0
         # Sub-cell keys must be exact in float64 and in int64.
         if axes.size == 0 or dims.max() > 2.0**52 or math.prod(dims) > 2.0**62:
             return None
@@ -308,7 +353,21 @@ class _Cells(NamedTuple):
         """Per query and box row: first sorted index and point count."""
         cell = np.floor((queries[:, self.axes] - self.lo) / self.side) + 3.0
         cell = np.clip(cell, 2.0, self.hi_cell).astype(np.int64)
-        rows = (cell @ self.strides)[:, None] + self.offsets
+        return self._runs(cell @ self.strides)
+
+    def data_pairs(self) -> int:
+        """Candidate pairs of the data with itself: the points of each
+        occupied sub-cell times the candidates of that sub-cell's box."""
+        occupied, size = np.unique(self.keys, return_counts=True)
+        pairs = 0
+        for start in range(0, occupied.size, _LOOKUP_ROWS):
+            part = slice(start, start + _LOOKUP_ROWS)
+            pairs += int(size[part] @ self._runs(occupied[part])[1].sum(axis=1))
+        return pairs
+
+    def _runs(self, keys: np.ndarray):
+        """Per sub-cell key and box row: first sorted index and point count."""
+        rows = keys[:, None] + self.offsets
         first = np.searchsorted(self.keys, rows - 2, side="left")
         return first, np.searchsorted(self.keys, rows + 2, side="right") - first
 

@@ -221,7 +221,10 @@ def _newton_scale(s0: np.ndarray, s3: np.ndarray, lam: np.ndarray, vec: np.ndarr
     Column 0 (the tangent) is returned but not used.
     """
     d = lam.shape[1]
-    e3 = np.einsum("qabc,qak,qbj,qcj->qkj", s3 / s0[:, None, None, None], vec, vec, vec)
+    # E[(u . v_k)(u . v_j)^2], contracting one axis of s3 at a time
+    e3 = np.einsum("qabc,qak->qkbc", s3 / s0[:, None, None, None], vec)
+    e3 = np.einsum("qkbc,qbj->qkjc", e3, vec)
+    e3 = np.einsum("qkjc,qcj->qkj", e3, vec)
     cumulant = e3 - m[:, :, None] * (1.0 + lam + m * m)[:, None, :]  # [q, k, j]
     with np.errstate(divide="ignore", invalid="ignore"):
         turn = np.where(np.eye(d, dtype=bool), 0.0,
@@ -236,9 +239,10 @@ def _step_batch(model: KernelModel, x: np.ndarray):
 
     The step is -h sum_{j >= 1} v_j m_j f_j over the normal columns of
     the frame (:func:`_normal_frame`), f the Newton factors; written as
-    a trailing-axis sum to stay off BLAS.  Returns (x_next, ok) where ok
+    a trailing-axis sum to stay off BLAS.  Returns (x_next, ok, s0): ok
     is False for rows whose kernel sum underflowed (density numerically
-    zero).  Bad rows are passed through unchanged.
+    zero), and s0 holds the raw kernel sums at x.  Bad rows are passed
+    through unchanged.
     """
     h = model.bandwidth
     s0, s1, s2, s3 = _kernel_sums(model.data.points, x, h, order=3, cells=model.cells)
@@ -248,7 +252,7 @@ def _step_batch(model: KernelModel, x: np.ndarray):
     coef = -h * (m * _newton_scale(safe, s3, lam, vec, m))[:, 1:]
     delta = np.sum(vec[:, :, 1:] * coef[:, None, :], axis=2)
     x_next = np.where(ok[:, None], x + delta, x)
-    return x_next, ok
+    return x_next, ok, s0
 
 
 def scms_step(model: KernelModel, x) -> np.ndarray:
@@ -264,7 +268,7 @@ def scms_step(model: KernelModel, x) -> np.ndarray:
 
     Raises :class:`DivergenceError` when the density underflows at x.
     """
-    x_next, ok = _step_batch(model, _as_vector(x, model.d)[None, :])
+    x_next, ok, _ = _step_batch(model, _as_vector(x, model.d)[None, :])
     if not ok[0]:
         raise DivergenceError("density underflowed to zero at the iterate")
     return x_next[0]
@@ -325,10 +329,12 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     iters = np.zeros(nq, dtype=int)
     active = np.arange(nq)
 
-    for _ in range(cfg.max_iterations):
+    for step in range(cfg.max_iterations):
         if active.size == 0:
             break
-        x_next, ok = _step_batch(model, x[active])
+        x_next, ok, s0 = _step_batch(model, x[active])
+        if step == 0:
+            first_s0 = s0
         disp = np.sqrt(np.sum((x_next - x[active]) ** 2, axis=1))
         iters[active] += 1
         x[active] = x_next
@@ -351,7 +357,12 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     # so endpoints are not moved to the modes.
     lam2 = lam[:, 1] if data.d >= 2 else lam[:, 0]
 
-    data_density = _kernel_sums(data.points, data.points, h, order=0, cells=model.cells)[0] * norm
+    # A data mesh starts from every data point, so the first step summed there.
+    if cfg.mesh == "data":
+        data_s0 = first_s0
+    else:
+        data_s0 = _kernel_sums(data.points, data.points, h, order=0, cells=model.cells)[0]
+    data_density = data_s0 * norm
     peak = float(max(dens.max(initial=0.0), data_density.max()))
     threshold = cfg.density_threshold_fraction * peak
     retained = (lam2 < 0.0) & (dens >= threshold)

@@ -375,6 +375,19 @@ class TestCompare:
         assert read(outs[0] / "coverage.csv") == read(outs[1] / "coverage.csv")
         assert read(outs[0] / "compare.json") == read(outs[1] / "compare.json")
 
+    def test_overflowing_distances_exit_2(self, tmp_path, capsys):
+        # 1e155 apart, the squared distance overflows: one error line,
+        # no traceback, nothing written
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("x0,x1\n0,0\n")
+        b.write_text("x0,x1\n0,1e155\n")
+        out = tmp_path / "cmp"
+        assert run(["compare", a, b, "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestParsing:
     def test_grid_spec_forms(self):

@@ -254,6 +254,19 @@ class TestHausdorff:
                 brute_hausdorff(a.points, b.points), rel=1e-12
             )
 
+    def test_overflowing_distances_rejected(self):
+        # Squared distances overflow between sets about 1.3e154 apart;
+        # below that the distance is exact.
+        a = Manifold(np.array([[0.0, 0.0]]))
+        assert hausdorff(a, Manifold(np.array([[0.0, 1e153]]))) == 1e153
+        for far in ([[0.0, 1e155]], [[1e154, 1e154]], [[0.0, 1.0], [0.0, 1e155]]):
+            b = Manifold(np.array(far))
+            for fn in (hausdorff, loss_pair):
+                with pytest.raises(ValueError, match="overflow"):
+                    fn(b, a)
+            with pytest.raises(ValueError, match="overflow"):
+                distance_to_set(b.points[-1], a)
+
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(16)
         for _ in range(15):

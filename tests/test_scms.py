@@ -21,6 +21,7 @@ from ridgecover import (
     hessian,
     scms_step,
 )
+import ridgecover.scms as scms_module
 from ridgecover.kde import _CUTOFF, _Cells, _kernel_sums
 from ridgecover.scms import _newton_scale, _normal_frame, _step_batch
 
@@ -87,7 +88,7 @@ class TestScmsStep:
         rng = np.random.default_rng(2)
         model = KernelModel(PointCloud(rng.standard_normal((40, 2))), 0.5)
         xs = rng.standard_normal((30, 2))
-        batch, ok = _step_batch(model, xs)
+        batch, ok, _ = _step_batch(model, xs)
         assert ok.all()
         for i in range(30):
             np.testing.assert_array_equal(scms_step(model, xs[i]), batch[i])
@@ -254,6 +255,32 @@ class TestExtractRidgeConsistency:
             assert len(builds) == 1
             assert (builds[0] is None) == (h == 0.4)  # at h = 0.4 every call is dense
 
+    def test_data_mesh_takes_the_data_density_from_the_first_step(self, monkeypatch):
+        # A data mesh starts from every data point, so the first step's
+        # s0 is, bit for bit, the data density the threshold peak needs
+        # and no order-0 pass runs; a grid mesh still makes that pass.
+        orders = []
+        sums = scms_module._kernel_sums
+
+        def recording(points, queries, h, order, **kwargs):
+            orders.append(order)
+            return sums(points, queries, h, order, **kwargs)
+
+        monkeypatch.setattr(scms_module, "_kernel_sums", recording)
+        cloud = ring_cloud(n=300)
+        for h, cfg in ((0.1, ScmsConfig()), (0.4, ScmsConfig()),
+                       (0.1, ScmsConfig(mesh="grid", grid_resolution=0.5))):
+            del orders[:]
+            ridge = extract_ridge(cloud, h, cfg)
+            assert orders.count(0) == (cfg.mesh == "grid")
+            assert set(orders) - {0} == {2, 3}
+            model = KernelModel(cloud, h)
+            peak = density(model, cloud.points).max()
+            assert ridge.density_threshold >= cfg.density_threshold_fraction * peak
+            np.testing.assert_array_equal(
+                _step_batch(model, cloud.points)[2],
+                sums(cloud.points, cloud.points, h, 0, cells=model.cells)[0])
+
     def test_endpoints_match_scms_step_loop_bitwise(self):
         # With no density threshold every converged trajectory on this
         # ring is retained, so the whole batch output can be compared.
@@ -335,7 +362,7 @@ class TestExtractRidgeConsistency:
             converged = np.zeros(cloud.n, dtype=bool)
             active = np.arange(cloud.n)
             for _ in range(ScmsConfig().max_iterations):
-                x_next, ok = _step_batch(model, x[active])
+                x_next, ok, _ = _step_batch(model, x[active])
                 done = ok & (np.sqrt(np.sum((x_next - x[active]) ** 2, axis=1)) < tol)
                 x[active] = x_next
                 converged[active[done]] = True
