@@ -16,9 +16,8 @@ so n points change s0 by at most n e^(-c^2/2), the gradient and
 Hessian sums by at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), and the
 third moments (used by the SCMS step) by n c^3 e^(-c^2/2), plus
 round-off.  A query with no data in its box gets exactly zero density.
-When no axis is split, or the boxes of the data points themselves hold
-more than half of all n^2 pairs, the whole call instead runs exactly
-over all the data.  That choice depends only on the data and h.  A
+When no axis is split, the whole call instead runs exactly over all
+the data.  That choice depends only on the data and h.  A
 :class:`KernelModel` bins its data once, when first evaluated, and
 every later sum on that model reuses the same cells.
 
@@ -72,10 +71,9 @@ _CUTOFF = 7.4
 # circles at h = 0.4, all dense, took 0.67 s against 1.44 s.
 _PAIR_BLOCK = 1 << 14
 
-# Queries, and the data's occupied sub-cells when a call is routed, are
-# looked up this many rows at a time.  This bounds the (rows, 5^(k-1))
-# int64 arrays of box rows, which for a grid mesh of up to
-# scms._MAX_GRID_POINTS = 10^6 queries in d=3 (25 box rows) would
+# Queries are looked up this many rows at a time.  This bounds the
+# (rows, 5^(k-1)) int64 arrays of box rows, which for a grid mesh of up
+# to scms._MAX_GRID_POINTS = 10^6 queries in d=3 (25 box rows) would
 # otherwise take hundreds of MiB.  The value was measured with 27
 # full-cell neighbours a row: on the helix (d=3) select run, 256 rows
 # peaked 1 MiB below 1024 rows, with order-2 sums timed alike.
@@ -83,22 +81,14 @@ _LOOKUP_ROWS = 256
 
 # An axis is split when the data occupy at least this many sub-cells on
 # it, the width of a query's box; along a narrower axis every point is a
-# candidate.  Order-3 sums of the data at the data (1200-point helices at
-# h = 0.087-0.2, a 750-point spiral half at 0.17-0.29, a 2000-point
-# circle at 0.2-0.4; CPU time, 2 cores): splitting from 3 or 4 sub-cells
-# routed every cloud as 5 does, while waiting for 6 or 7 left the helices
-# at h = 0.12 and 0.15 split on z alone, with 62-73% of all pairs in the
-# boxes instead of 28-43%, and took 1.5-1.8x as long.
+# candidate.  Waiting for 6 or 7 sub-cells (7 was the earlier rule) left
+# 1200-point helices at h = 0.12 and 0.15 split on z alone, with 62-73%
+# of all pairs in the boxes instead of 28-43%, and their order-3 sums of
+# the data at the data took 1.5-1.8x as long (CPU time, 2 cores).  A
+# smaller value would send more wide-bandwidth fits to the cells path,
+# where 750-point spiral halves at h = 0.29-0.38 already run their whole
+# SCMS fit 1.09-1.27x slower than dense.
 _SPLIT_SUBCELLS = 5
-
-# The whole call goes dense when the boxes of the data points hold more
-# than this fraction of all n^2 pairs.  extract_ridge with the sums forced
-# onto each path (CPU time, 2 cores; circles, spirals and helices): at
-# n = 750-2000 the pair path took 0.37-0.64x the dense time below a half
-# of the pairs, 0.68-0.97x from 0.51 to 0.87, and 1.005x at 0.95; at
-# n = 300 it took 0.85-1.18x below a half and 0.96-1.22x above.  A half
-# keeps the pair path where it saves at least a third at n >= 750.
-_DENSE_FRACTION = 0.5
 
 
 def _as_points(points) -> np.ndarray:
@@ -253,10 +243,8 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     block size or the rest of the batch.
 
     The whole call is instead the exact sum over all the data
-    (:func:`_dense_sums`) when :meth:`_Cells.build` finds nothing worth
-    binning: no axis on which the data occupy at least five sub-cells,
-    boxes of the data points that hold more than half of all n^2 pairs,
-    or sub-cell indices that would not be exact.
+    (:func:`_dense_sums`) when the data occupy fewer than five sub-cells
+    on every axis or the sub-cell indices would not be exact.
     """
     if cells is _UNBUILT:
         cells = _Cells.build(points, h)
@@ -299,12 +287,6 @@ class _Cells(NamedTuple):
     side c h around the query's cell, so it never holds more candidates
     than they do.  Clipped queries may get far candidates too; their
     terms are computed exactly.
-
-    :meth:`build` routes the whole call dense (returns None) when the
-    boxes of the data points hold more than ``_DENSE_FRACTION`` = 1/2 of
-    all n^2 pairs, counted per occupied sub-cell as its points times its
-    box's candidates (:meth:`data_pairs`), since the pair path then saves
-    little; :meth:`bin` bins whatever the count.
     """
 
     lo: np.ndarray  # (k,) grid origin on the split axes
@@ -319,16 +301,6 @@ class _Cells(NamedTuple):
     @classmethod
     def build(cls, points: np.ndarray, h: float) -> "_Cells | None":
         """Bin the data; None when the whole call should go dense."""
-        cells = cls.bin(points, h)
-        n = points.shape[0]
-        if cells is None or cells.data_pairs() > _DENSE_FRACTION * n * n:
-            return None
-        return cells
-
-    @classmethod
-    def bin(cls, points: np.ndarray, h: float) -> "_Cells | None":
-        """Bin the data on every wide enough axis, whatever the box saves;
-        None when no axis is split or a sub-cell key would not be exact."""
         side = 0.5 * _CUTOFF * h
         lo = points.min(axis=0)
         cell = np.floor((points - lo) / side)
@@ -353,21 +325,7 @@ class _Cells(NamedTuple):
         """Per query and box row: first sorted index and point count."""
         cell = np.floor((queries[:, self.axes] - self.lo) / self.side) + 3.0
         cell = np.clip(cell, 2.0, self.hi_cell).astype(np.int64)
-        return self._runs(cell @ self.strides)
-
-    def data_pairs(self) -> int:
-        """Candidate pairs of the data with itself: the points of each
-        occupied sub-cell times the candidates of that sub-cell's box."""
-        occupied, size = np.unique(self.keys, return_counts=True)
-        pairs = 0
-        for start in range(0, occupied.size, _LOOKUP_ROWS):
-            part = slice(start, start + _LOOKUP_ROWS)
-            pairs += int(size[part] @ self._runs(occupied[part])[1].sum(axis=1))
-        return pairs
-
-    def _runs(self, keys: np.ndarray):
-        """Per sub-cell key and box row: first sorted index and point count."""
-        rows = keys[:, None] + self.offsets
+        rows = (cell @ self.strides)[:, None] + self.offsets
         first = np.searchsorted(self.keys, rows - 2, side="left")
         return first, np.searchsorted(self.keys, rows + 2, side="right") - first
 

@@ -329,11 +329,8 @@ def truncation_bounds(n):
     return [tail * _CUTOFF**k + roundoff for k in range(4)]
 
 
-def assert_within_truncation_bound(points, queries, h, binned=False):
-    """``binned`` runs the pair path whenever an axis is split, even where
-    the call would be routed dense."""
-    cells = {"cells": _Cells.bin(points, h)} if binned else {}
-    got = _kernel_sums(points, queries, h, order=3, **cells)
+def assert_within_truncation_bound(points, queries, h):
+    got = _kernel_sums(points, queries, h, order=3)
     ref = _dense_sums(points, queries, h, order=3)
     for k, (a, b, bound) in enumerate(zip(got, ref, truncation_bounds(len(points)))):
         assert np.abs(a - b).max() <= bound, f"s{k}"
@@ -357,12 +354,10 @@ class TestTruncatedSums:
         for d in (1, 2, 3):
             pts = rng.uniform(0.0, 4.0, (300, d))
             lo, hi = pts.min(axis=0), pts.max(axis=0)
-            # from one cell per axis (all dense) to about 70 per axis; the
-            # data are binned whatever the routing, so every h but 1.0 runs
-            # the pair path
+            # from one cell per axis (all dense) to about 70 per axis
             for h in (1.0, 0.15, 0.05, 0.0077):
                 side = _CUTOFF * h
-                assert (_Cells.bin(pts, h) is None) == (h == 1.0)
+                assert (_Cells.build(pts, h) is None) == (h == 1.0)
                 inside = rng.uniform(lo, hi, (200, d))
                 outside = np.concatenate([
                     lo - side * rng.uniform(0.1, 5.0, (30, d)),
@@ -374,19 +369,16 @@ class TestTruncatedSums:
                 sub_edges = lo + 0.5 * side * rng.integers(
                     -6, int(2 * (hi - lo).max() / side) + 7, (60, d))
                 queries = np.concatenate([inside, outside, edges, sub_edges])
-                assert_within_truncation_bound(pts, queries, h, binned=True)
                 assert_within_truncation_bound(pts, queries, h)
             # The s0 bound is tight: 300 points just over one cell side
-            # from a query at the top of its cell are all left out (on the
-            # pair path; routed, this cloud goes dense).
+            # from a query at the top of its cell are all left out.
             side = _CUTOFF * 0.1
             pts = np.zeros((302, d))
             pts[1:-1, 0] = 2 * side * (1 + 1e-9)
             pts[-1, 0] = 10 * side
             x = np.zeros((1, d))
             x[0, 0] = side * (1 - 1e-9)
-            truncated = _kernel_sums(pts, x, 0.1, 0, cells=_Cells.bin(pts, 0.1))[0]
-            left_out = (_dense_sums(pts, x, 0.1, 0)[0] - truncated)[0]
+            left_out = (_dense_sums(pts, x, 0.1, 0)[0] - _kernel_sums(pts, x, 0.1, 0)[0])[0]
             tail = 300 * math.exp(-0.5 * _CUTOFF**2)
             assert 0.99 * tail <= left_out <= truncation_bounds(302)[0]
 
@@ -395,40 +387,37 @@ class TestTruncatedSums:
         h = 0.1
         cases = []
         for d in (1, 2, 3):
-            # Pair-path rows that see most of the data, a few points or
-            # none; routed, this cloud goes dense, so it is binned here.
             pts = clustered_cloud(rng, d)
             queries = np.concatenate([
                 rng.uniform(0.0, 1.0, (500, d)),  # most of the data near
                 rng.uniform(0.0, 20.0, (700, d)),  # few candidates
                 rng.uniform(10.7, 11.3, (20, d)),  # no candidates
             ])
-            cells = _Cells.bin(pts, h)
-            _, count = cells.neighbours(queries)
+            _, count = _Cells.build(pts, h).neighbours(queries)
             total = count.sum(axis=1)
             assert (total > 0.75 * len(pts)).any() and (total == 0).any()
             assert ((total > 0) & (total < 0.1 * len(pts))).any()
-            cases.append((pts, queries, {"cells": cells}))
+            cases.append((pts, queries))
             # Whole-call dense clouds (fewer than 5 sub-cells on every
             # axis); at _PAIR_BLOCK + 1 points each dense block holds a
             # single row.
             for n in (200, _PAIR_BLOCK + 1):
                 pts = rng.uniform(0.0, 1.4, (n, d))
                 assert _Cells.build(pts, h) is None
-                cases.append((pts, rng.uniform(-1.0, 3.0, (200, d)), {}))
-        for pts, queries, cells in cases:
-            ref = _kernel_sums(pts, queries, h, order=2, **cells)
+                cases.append((pts, rng.uniform(-1.0, 3.0, (200, d))))
+        for pts, queries in cases:
+            ref = _kernel_sums(pts, queries, h, order=2)
             perm = rng.permutation(len(queries))
-            shuffled = _kernel_sums(pts, queries[perm], h, order=2, **cells)
+            shuffled = _kernel_sums(pts, queries[perm], h, order=2)
             for a, b in zip(ref, shuffled):
                 np.testing.assert_array_equal(a[perm], b)
             cuts = np.sort(rng.choice(np.arange(1, len(queries)), 12, replace=False))
             for part in np.split(np.arange(len(queries)), cuts):
-                got = _kernel_sums(pts, queries[part], h, order=2, **cells)
+                got = _kernel_sums(pts, queries[part], h, order=2)
                 for a, b in zip(ref, got):
                     np.testing.assert_array_equal(a[part], b)
             for i in rng.choice(len(queries), 25, replace=False):
-                got = _kernel_sums(pts, queries[i:i + 1], h, order=2, **cells)
+                got = _kernel_sums(pts, queries[i:i + 1], h, order=2)
                 for a, b in zip(ref, got):
                     np.testing.assert_array_equal(a[i:i + 1], b)
 
@@ -462,34 +451,27 @@ class TestTruncatedSums:
     def test_whole_call_dense_bit_identical(self):
         rng = np.random.default_rng(103)
         for d in (1, 2, 3):
-            # fewer than 5 sub-cells on every axis, so no axis is split;
-            # and a clump whose boxes hold over half of all pairs
-            unsplit = rng.uniform(0.0, 1.4, (200, d))
-            assert _Cells.bin(unsplit, 0.1) is None
-            clumped = clustered_cloud(rng, d, n=200)
-            assert _Cells.bin(clumped, 0.1) is not None
+            # fewer than 5 sub-cells on every axis: no cells at all
+            pts = rng.uniform(0.0, 1.4, (200, d))
             queries = rng.uniform(-3.0, 5.0, (150, d))
-            for pts in (unsplit, clumped):
-                assert _Cells.build(pts, 0.1) is None
-                for order in (0, 1, 2, 3):
-                    got = _kernel_sums(pts, queries, 0.1, order)
-                    for a, b in zip(got, _dense_sums(pts, queries, 0.1, order)):
-                        np.testing.assert_array_equal(a, b)
+            assert _Cells.build(pts, 0.1) is None
+            for order in (0, 1, 2, 3):
+                got = _kernel_sums(pts, queries, 0.1, order)
+                for a, b in zip(got, _dense_sums(pts, queries, 0.1, order)):
+                    np.testing.assert_array_equal(a, b)
 
     def test_rows_longer_than_a_pair_block(self):
         # 17,000 points in one cell: each query near them is a block of
-        # its own, and the rows still do not depend on the batch.  Routed,
-        # the clump sends this cloud dense, so it is binned here.
+        # its own, and the rows still do not depend on the batch.
         rng = np.random.default_rng(104)
         pts = np.concatenate([rng.uniform(0.0, 0.5, 17000), rng.uniform(0.0, 10.0, 100)])[:, None]
         queries = np.concatenate([rng.uniform(0.0, 0.5, 5), rng.uniform(0.0, 10.0, 5)])[:, None]
-        cells = _Cells.bin(pts, 0.1)
-        _, count = cells.neighbours(queries)
+        _, count = _Cells.build(pts, 0.1).neighbours(queries)
         assert (count.sum(axis=1) > _PAIR_BLOCK).sum() >= 5
-        assert_within_truncation_bound(pts, queries, 0.1, binned=True)
-        ref = _kernel_sums(pts, queries, 0.1, order=2, cells=cells)
+        assert_within_truncation_bound(pts, queries, 0.1)
+        ref = _kernel_sums(pts, queries, 0.1, order=2)
         for i in range(len(queries)):
-            row = _kernel_sums(pts, queries[i:i + 1], 0.1, order=2, cells=cells)
+            row = _kernel_sums(pts, queries[i:i + 1], 0.1, order=2)
             for a, b in zip(ref, row):
                 np.testing.assert_array_equal(a[i:i + 1], b)
 
@@ -540,11 +522,7 @@ def full_cell_mask(cells, queries, h):
 
 
 class TestSubCells:
-    """The sub-cell box of every query against brute force.
-
-    The data are binned whatever the routing would choose, since the
-    clustered clouds go dense at these bandwidths.
-    """
+    """The sub-cell box of every query against brute force."""
 
     @staticmethod
     def cases(rng):
@@ -570,7 +548,7 @@ class TestSubCells:
     def test_box_holds_every_point_within_the_cutoff(self):
         rng = np.random.default_rng(105)
         for pts, queries, h in self.cases(rng):
-            cells = _Cells.bin(pts, h)
+            cells = _Cells.build(pts, h)
             assert cells is not None
             mask = candidate_mask(cells, queries)
             # within c h on every split axis, short of round-off in the indices
@@ -582,7 +560,7 @@ class TestSubCells:
     def test_box_within_the_full_cell_neighbours(self):
         rng = np.random.default_rng(106)
         for pts, queries, h in self.cases(rng):
-            cells = _Cells.bin(pts, h)
+            cells = _Cells.build(pts, h)
             mask = candidate_mask(cells, queries)
             old = full_cell_mask(cells, queries, h)
             assert not (mask & ~old).any()
@@ -636,33 +614,23 @@ def box_pairs_brute_force(points, h):
 class TestRouting:
     """Which axes are split, and when the whole call goes dense."""
 
-    def test_dense_exactly_when_boxes_hold_over_half_the_pairs(self):
+    def test_dense_exactly_when_no_axis_has_five_sub_cells(self):
         rng = np.random.default_rng(109)
         h = 0.1
+        side = 0.5 * _CUTOFF * h
         for d in (1, 2, 3):
-            fractions = []
-            for width in np.concatenate([np.linspace(1.4, 3.0, 17), [4.5, 6.0]]):
-                for pts in (rng.uniform(0.0, width, (300, d)),
-                            np.concatenate([rng.uniform(0.0, 0.6, (120, d)),
-                                            rng.uniform(0.0, 3 * width, (180, d))])):
-                    axes, pairs = box_pairs_brute_force(pts, h)
-                    n = len(pts)
-                    cells = _Cells.build(pts, h)
-                    assert (cells is None) == (axes.size == 0 or 2 * pairs > n * n)
-                    binned = _Cells.bin(pts, h)
-                    if binned is not None:
-                        np.testing.assert_array_equal(binned.axes, axes)
-                        assert binned.data_pairs() == pairs
-                        fractions.append(pairs / n**2)
-            fractions = np.array(fractions)
-            # clouds on both sides of a half, some close to it
-            assert ((fractions > 0.5) & (fractions < 0.6)).any()
-            assert ((fractions <= 0.5) & (fractions > 0.4)).any()
-            assert fractions.min() < 0.3 and fractions.max() > 0.65
-        # exactly half is not more than half: two lone points stay on cells
-        pts = np.array([[0.0], [10 * _CUTOFF * h]])
-        assert box_pairs_brute_force(pts, h)[1] == 2
-        assert _Cells.build(pts, h) is not None
+            # about 3 to 7 occupied sub-cells on each axis, drawn per axis
+            split = set()
+            for _ in range(40):
+                width = rng.uniform(2.5, 6.5, d) * side
+                pts = rng.uniform(0.0, 1.0, (200, d)) * width
+                axes, _ = box_pairs_brute_force(pts, h)
+                cells = _Cells.build(pts, h)
+                assert (cells is None) == (axes.size == 0)
+                if cells is not None:
+                    np.testing.assert_array_equal(cells.axes, axes)
+                split.add(axes.size)
+            assert split == set(range(d + 1))
 
     def test_every_axis_with_five_sub_cells_is_split(self):
         h = 0.1
@@ -670,9 +638,9 @@ class TestRouting:
         # sub-cell centres spanning 1, 4, 5 and 8 sub-cells on the four axes
         spans = np.array([1, 4, 5, 8])
         pts = (np.stack([np.arange(40) % s for s in spans], axis=1) + 0.5) * side
-        np.testing.assert_array_equal(_Cells.bin(pts, h).axes, [2, 3])
+        np.testing.assert_array_equal(_Cells.build(pts, h).axes, [2, 3])
         for a in range(4):
-            assert (_Cells.bin(pts[:, [a]], h) is None) == (spans[a] < 5)
+            assert (_Cells.build(pts[:, [a]], h) is None) == (spans[a] < 5)
 
     def test_helix_at_the_widest_benchmark_bandwidth_takes_the_cells(self):
         # The select_bootstrap input at seed 0 and its widest grid point:
@@ -681,7 +649,9 @@ class TestRouting:
         cells = _Cells.build(cloud.points, 0.15)
         assert cells is not None
         np.testing.assert_array_equal(cells.axes, [0, 1, 2])
-        assert 0.3 < cells.data_pairs() / cloud.n**2 < 0.5
+        axes, pairs = box_pairs_brute_force(cloud.points, 0.15)
+        np.testing.assert_array_equal(axes, [0, 1, 2])
+        assert 0.3 < pairs / cloud.n**2 < 0.5
 
 
 # Property tests draw a fixed, small set of examples so the suite stays
