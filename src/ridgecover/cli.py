@@ -212,9 +212,8 @@ def cmd_select(args: argparse.Namespace) -> int:
         "version": _VERSION,
     })
     _log(f"selected h_star={curve.h_star} (cap h_bar={curve.h_bar})")
-    lo, hi = min(e.h for e in curve.entries), max(e.h for e in curve.entries)
-    if lo < hi and curve.h_star in (lo, hi):
-        edge = "smallest" if curve.h_star == lo else "largest"
+    edge = curve.h_star_at_grid_edge
+    if edge is not None:
         _log(f"warning: h_star={curve.h_star} is the {edge} bandwidth left in the grid; "
              "the risk minimum may lie outside it")
     if args.emit_ridge:

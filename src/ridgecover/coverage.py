@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._io import write_csv
 from .kde import _as_points, _as_vector
@@ -80,8 +79,11 @@ def _nearest_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     coordinate differences, so it equals a brute-force scan's
     ``sqrt(min(sum((q - p)**2)))`` bit for bit.  Raises ``ValueError``
     when a squared distance overflows, as it does between sets more than
-    about 1.3e154 apart.
+    about 1.3e154 apart.  ``scipy.spatial`` is imported here, on the first
+    call, so that importing the package does not load it.
     """
+    from scipy.spatial import cKDTree
+
     _, idx = cKDTree(points).query(queries, k=1, workers=1)
     found = idx < len(points)  # the tree returns index n when every distance overflows
     with np.errstate(over="ignore"):

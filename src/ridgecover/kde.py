@@ -27,7 +27,13 @@ its own (a pairwise sum over a C-contiguous trailing axis on the dense
 path, one ``np.add.reduceat`` segment holding only that row's terms on
 the truncated one) and never through BLAS, so a row's value depends
 only on the data, h and that query: results are bit-identical across
-block sizes, batch make-up and thread settings.
+block sizes, batch make-up and thread settings.  Each moment component
+is reduced straight into its row of one stacked (m, queries) buffer,
+m = 20 at order 3 in d = 3; a block fills its columns with one
+assignment, and a call splits the buffer into s0 to s3 once.  The
+buffer only decides where a sum is stored, never which terms it adds
+or in what order, so stacking leaves every row independent of the
+block it was computed in.
 """
 
 from __future__ import annotations
@@ -208,12 +214,41 @@ def _as_vector(x, d: int) -> np.ndarray:
 _UNBUILT = object()
 
 
-def _sums_out(alloc, nq: int, d: int, order: int) -> tuple:
-    """Result arrays of :func:`_kernel_sums`: s0, s1 and s2, None above
-    ``order``, and s3 as a fourth entry at order 3 only."""
-    out = (alloc(nq), alloc((nq, d)) if order >= 1 else None,
-           alloc((nq, d, d)) if order >= 2 else None)
-    return out + (alloc((nq, d, d, d)),) if order >= 3 else out
+@functools.cache
+def _layout(d: int, order: int) -> tuple:
+    """Rows of the stacked moment buffer: (m, maps).
+
+    :func:`_moments` reduces its m moment components, up to ``order``, in
+    the order s0, then for each a: s1[a], and for each b >= a: s2[a, b]
+    followed by s3[a, b, c] for each c >= b.  Row k of a stacked (m, rows)
+    buffer holds component k.  ``maps[j - 1]``, of shape (d,) * j, gives
+    the buffer row of every entry of s_j, so that all permutations of an
+    index share the row of its sorted form.
+    """
+    keys = [()]
+    for a in range(d):
+        keys.append((a,))
+        for b in range(a, d):
+            keys.append((a, b))
+            keys.extend((a, b, c) for c in range(b, d))
+    keys = [key for key in keys if len(key) <= order]
+    maps = [np.empty((d,) * j, dtype=np.intp) for j in range(1, order + 1)]
+    for row, key in enumerate(keys[1:], start=1):
+        for index in itertools.permutations(key):
+            maps[len(key) - 1][index] = row
+    for m in maps:
+        m.setflags(write=False)
+    return len(keys), tuple(maps)
+
+
+def _unstack(buf: np.ndarray, d: int, order: int) -> tuple:
+    """The result tuple of :func:`_kernel_sums` from a stacked (m, nq) buffer.
+
+    s1 to s3 are gathered into fresh C-contiguous (nq, d, ...) arrays.
+    """
+    t = buf.T
+    sums = [buf[0]] + [t.take(m, axis=1) for m in _layout(d, order)[1]]
+    return tuple(sums + [None] * (3 - len(sums)))
 
 
 def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
@@ -242,6 +277,12 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     each row depends only on the data, h and that row, never on the
     block size or the rest of the batch.
 
+    Every component lands in one row of a single (m, nq) buffer (m = 20
+    at order 3 in d = 3, see :func:`_layout`): each block is scattered
+    into it with one assignment, and the call splits it into s0 to s3
+    once at the end, so a block's fixed cost does not grow with the
+    number of components and their permutations.
+
     The whole call is instead the exact sum over all the data
     (:func:`_dense_sums`) when the data occupy fewer than five sub-cells
     on every axis or the sub-cell indices would not be exact.
@@ -251,13 +292,16 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     if cells is None:
         return _dense_sums(points, queries, h, order)
     nq, d = queries.shape
-    out = _sums_out(np.zeros, nq, d, order)
+    buf = np.zeros((_layout(d, order)[0], nq))
     for start in range(0, nq, _LOOKUP_ROWS):
-        rows = np.arange(start, min(start + _LOOKUP_ROWS, nq))
-        first, count = cells.neighbours(queries[rows])
-        near = count.any(axis=1)  # the other rows keep their zeros
-        _pair_sums(cells, queries, h, order, out, rows[near], first[near], count[near])
-    return out
+        stop = min(start + _LOOKUP_ROWS, nq)
+        rows = np.arange(start, stop)
+        first, count = cells.neighbours(queries[start:stop])
+        near = count.any(axis=1)
+        if not near.all():  # the other rows keep their zeros
+            rows, first, count = rows[near], first[near], count[near]
+        _pair_sums(cells, queries, h, order, buf, rows, first, count)
+    return _unstack(buf, d, order)
 
 
 class _Cells(NamedTuple):
@@ -326,33 +370,40 @@ class _Cells(NamedTuple):
         cell = np.floor((queries[:, self.axes] - self.lo) / self.side) + 3.0
         cell = np.clip(cell, 2.0, self.hi_cell).astype(np.int64)
         rows = (cell @ self.strides)[:, None] + self.offsets
-        first = np.searchsorted(self.keys, rows - 2, side="left")
-        return first, np.searchsorted(self.keys, rows + 2, side="right") - first
+        first = self.keys.searchsorted(rows - 2, side="left")
+        return first, self.keys.searchsorted(rows + 2, side="right") - first
 
 
-def _pair_sums(cells: _Cells, queries, h, order, out, rows, first, count) -> None:
-    """Sum ``rows`` of ``queries`` over their candidates only, into ``out``.
+def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count) -> None:
+    """Sum ``rows`` of ``queries`` over their candidates only, into columns
+    ``rows`` of the stacked buffer ``buf``.
 
     Candidates run through the box rows in key order, and through each
     sub-cell in data order.  A block holds whole rows.
     """
-    d = queries.shape[1]
     total = count.sum(axis=1)
-    ptr = np.concatenate(([0], np.cumsum(total)))
+    ptr = np.concatenate(([0], total.cumsum()))
+    d = queries.shape[1]
+    # the moments' scratch and dv for the largest block, reused by every block
+    work = np.empty((4 + d) * min(ptr[-1], max(_PAIR_BLOCK, total.max(initial=0))))
     r = 0
     while r < rows.size:
-        stop = max(int(np.searchsorted(ptr, ptr[r] + _PAIR_BLOCK, side="right")) - 1, r + 1)
+        stop = max(int(ptr.searchsorted(ptr[r] + _PAIR_BLOCK, side="right")) - 1, r + 1)
         sel = rows[r:stop]
         cnt = count[r:stop].ravel()
         # flat index p of run j maps to first_j + (p - start of run j)
-        shift = first[r:stop].ravel() - (np.cumsum(cnt) - cnt)
-        idx = np.repeat(shift, cnt) + np.arange(ptr[stop] - ptr[r])
+        shift = first[r:stop].ravel() - (cnt.cumsum() - cnt)
+        idx = shift.repeat(cnt) + np.arange(ptr[stop] - ptr[r])
         seg = ptr[r:stop] - ptr[r]
-        dv = np.empty((d, idx.size))
-        for a in range(d):
-            np.subtract(np.repeat(queries[sel, a], total[r:stop]),
-                        np.take(cells.sorted_t[a], idx), out=dv[a])
-        _moments(dv, h, order, functools.partial(np.add.reduceat, indices=seg), out, sel)
+        terms = idx.size
+        dv = work[4 * terms:(4 + d) * terms].reshape(d, terms)
+        # mode="clip" lets take write into dv unbuffered; every index is in range
+        cells.sorted_t.take(idx, axis=1, out=dv, mode="clip")
+        np.subtract(queries.T[:, sel].repeat(total[r:stop], axis=1), dv, out=dv)
+        local = np.empty((buf.shape[0], sel.size))
+        _moments(dv, h, order, functools.partial(np.add.reduceat, indices=seg), local,
+                 work[:4 * terms].reshape(4, terms))
+        buf[:, sel] = local
         r = stop
 
 
@@ -364,57 +415,63 @@ def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
     so the per-row results do not depend on the block layout.
     """
     nq, d = queries.shape
-    out = _sums_out(np.empty, nq, d, order)
+    buf = np.empty((_layout(d, order)[0], nq))
     points_t = np.ascontiguousarray(points.T)
     queries_t = np.ascontiguousarray(queries.T)
     step = max(1, _PAIR_BLOCK // points.shape[0])
-    reduce = functools.partial(np.sum, axis=-1)
+    reduce = functools.partial(np.add.reduce, axis=-1)
+    work = np.empty((4 + d, min(step, nq), points.shape[0]))  # scratch, then dv
     for start in range(0, nq, step):
         sl = slice(start, min(start + step, nq))
-        _moments(np.subtract(queries_t[:, sl, None], points_t[:, None, :]), h, order,
-                 reduce, out, sl)
-    return out
+        block = work[:, :sl.stop - start]
+        dv = np.subtract(queries_t[:, sl, None], points_t[:, None, :], out=block[4:])
+        _moments(dv, h, order, reduce, buf[:, sl], block[:4])
+    return _unstack(buf, d, order)
 
 
-def _moments(dv: np.ndarray, h: float, order: int, reduce, out, sel) -> None:
-    """The Gaussian moments of one block of terms, into rows ``sel`` of ``out``.
+def _moments(dv: np.ndarray, h: float, order: int, reduce, buf: np.ndarray,
+             work: np.ndarray) -> None:
+    """The Gaussian moments of one block of terms, into the stacked ``buf``.
 
     ``dv`` holds the offsets x - X_i with the axis first, shape (d, ...),
-    and is scaled to u in place; ``reduce`` sums each row's terms of a
-    weight or product array.  ||u||^2 accumulates coordinate by
-    coordinate, and every product is written in place, so a row's value
-    depends only on its terms and on ``reduce``.
+    and is scaled to u in place.  ``reduce(arr, out=row)`` sums each
+    query's terms of a weight or product array into ``row``; component k of
+    :func:`_layout` goes to ``buf[k]``, so ``buf`` is (m, rows).
+    ||u||^2 accumulates coordinate by coordinate, and every product is
+    written in place, so a row's value depends only on its terms and on
+    ``reduce``; which row of ``buf`` receives it changes no bit.
+
+    ``work`` holds four scratch arrays of the shape of ``dv[0]``.  The
+    callers carve it and ``dv`` from one allocation per call, reused by
+    every block: fresh block-sized arrays for each block let the heap
+    shrink and grow again between blocks, and every page of every block
+    was a page fault (117k per three dense circle fits at h = 0.4).
     """
+    rows = iter(buf)
+    w, tmp, pv, pvv = work
     d = dv.shape[0]
     dv /= h
-    w = dv[0] * dv[0]
-    tmp = np.empty_like(w)
+    np.multiply(dv[0], dv[0], out=w)
     for a in range(1, d):
         np.multiply(dv[a], dv[a], out=tmp)
         w += tmp
     w *= -0.5
     np.exp(w, out=w)
-    out[0][sel] = reduce(w)
+    reduce(w, out=next(rows))
     if order >= 1:
-        pv = np.empty_like(w)
-        pvv = np.empty_like(w) if order >= 3 else None
         for a in range(d):
             np.multiply(w, dv[a], out=pv)
-            out[1][sel, a] = reduce(pv)
-            if order >= 2:
-                for b in range(a, d):
-                    np.multiply(pv, dv[b], out=tmp)
-                    v = reduce(tmp)
-                    out[2][sel, a, b] = v
-                    if b != a:
-                        out[2][sel, b, a] = v
-                    if order < 3:
-                        continue
-                    for c in range(b, d):
-                        np.multiply(tmp, dv[c], out=pvv)
-                        v = reduce(pvv)
-                        for i, j, k in set(itertools.permutations((a, b, c))):
-                            out[3][sel, i, j, k] = v
+            reduce(pv, out=next(rows))
+            if order < 2:
+                continue
+            for b in range(a, d):
+                np.multiply(pv, dv[b], out=tmp)
+                reduce(tmp, out=next(rows))
+                if order < 3:
+                    continue
+                for c in range(b, d):
+                    np.multiply(tmp, dv[c], out=pvv)
+                    reduce(pvv, out=next(rows))
 
 
 def _norm_const(n: int, d: int, h: float) -> float:

@@ -109,6 +109,18 @@ class RiskCurve:
     def objective_values(self) -> list[float]:
         return _objective_values(self.entries, self.objective)
 
+    @property
+    def h_star_at_grid_edge(self) -> str | None:
+        """Which end of the grid h_star is: "smallest", "largest" or None.
+
+        None also for a grid of one bandwidth.  At either end the risk
+        minimum may lie outside the grid.
+        """
+        lo, hi = min(e.h for e in self.entries), max(e.h for e in self.entries)
+        if lo < hi and self.h_star in (lo, hi):
+            return "smallest" if self.h_star == lo else "largest"
+        return None
+
     def save_csv(self, path) -> None:
         write_csv(path, ["h", "risk1", "risk2", "method"],
                   ((e.h, e.risk1, e.risk2, e.method) for e in self.entries))
@@ -121,6 +133,7 @@ class RiskCurve:
             "method": self.entries[0].method,
             "replicates": self.entries[0].replicates,
             "n_grid": len(self.entries),
+            "h_star_at_grid_edge": self.h_star_at_grid_edge,
         }
 
     def save_json(self, path, extra: dict | None = None) -> None:

@@ -32,6 +32,7 @@ changes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -181,6 +182,14 @@ class RidgeSet:
         return meta
 
 
+@functools.cache
+def _eye(d: int, dtype=float) -> np.ndarray:
+    """A read-only d x d identity, built once per (d, dtype)."""
+    eye = np.eye(d, dtype=dtype)
+    eye.setflags(write=False)
+    return eye
+
+
 def _normal_frame(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray):
     """The SCMS frame at each query, from raw kernel sums: (lam, vec, m).
 
@@ -197,7 +206,7 @@ def _normal_frame(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray):
     """
     d = s1.shape[1]
     mu = s1 / s0[:, None]
-    mat = s2 / s0[:, None, None] - np.eye(d) - mu[:, :, None] * mu[:, None, :]
+    mat = s2 / s0[:, None, None] - _eye(d) - mu[:, :, None] * mu[:, None, :]
     lam, vec = np.linalg.eigh(mat)  # ascending
     lam = np.ascontiguousarray(lam[:, ::-1])
     vec = np.ascontiguousarray(vec[:, :, ::-1])
@@ -227,7 +236,7 @@ def _newton_scale(s0: np.ndarray, s3: np.ndarray, lam: np.ndarray, vec: np.ndarr
     e3 = np.einsum("qkjc,qcj->qkj", e3, vec)
     cumulant = e3 - m[:, :, None] * (1.0 + lam + m * m)[:, None, :]  # [q, k, j]
     with np.errstate(divide="ignore", invalid="ignore"):
-        turn = np.where(np.eye(d, dtype=bool), 0.0,
+        turn = np.where(_eye(d, bool), 0.0,
                         m[:, :, None] * cumulant / (lam[:, None, :] - lam[:, :, None]))
         kappa = lam + turn.sum(axis=1)
         newton = np.clip(1.0 / np.maximum(-kappa, 1.0 / _NEWTON_CAP), 1.0, _NEWTON_CAP)
@@ -332,10 +341,11 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     for step in range(cfg.max_iterations):
         if active.size == 0:
             break
-        x_next, ok, s0 = _step_batch(model, x[active])
+        x_active = x[active]
+        x_next, ok, s0 = _step_batch(model, x_active)
         if step == 0:
             first_s0 = s0
-        disp = np.sqrt(np.sum((x_next - x[active]) ** 2, axis=1))
+        disp = np.sqrt(np.sum((x_next - x_active) ** 2, axis=1))
         iters[active] += 1
         x[active] = x_next
         done = ok & (disp < tol)
@@ -349,7 +359,7 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     s0, s1, s2 = _kernel_sums(data.points, x, h, order=2, cells=model.cells)
     norm = _norm_const(data.n, data.d, h)
     dens = s0 * norm
-    lam = np.linalg.eigvalsh(s2 - s0[:, None, None] * np.eye(data.d))[:, ::-1] * (norm / h**2)
+    lam = np.linalg.eigvalsh(s2 - s0[:, None, None] * _eye(data.d))[:, ::-1] * (norm / h**2)
     _, _, m = _normal_frame(np.where(s0 > 0.0, s0, 1.0), s1, s2)
     pg_norm = dens / h * np.sqrt(np.sum(m[:, 1:] ** 2, axis=1))
     # In d=1 there is no second eigenvalue; the only one plays its role,

@@ -173,7 +173,8 @@ class TestSelect:
         out = tmp_path / "sel1"
         assert run(["select", "--input", ring_csv, "--grid", "0.2:0.2:1",
                     "--seed", "1", "--output-dir", out]) == 0
-        assert json.loads(read(out / "select.json"))["h_star"] == 0.2
+        meta = json.loads(read(out / "select.json"))
+        assert meta["h_star"] == 0.2 and meta["h_star_at_grid_edge"] is None
 
     def test_grid_above_cap_reports_hbar(self, ring_csv, tmp_path, capsys):
         code = run(["select", "--input", ring_csv, "--grid", "5:9:3",
@@ -183,24 +184,30 @@ class TestSelect:
 
     def test_warns_when_h_star_is_a_grid_edge(self, ring_csv, tmp_path, capsys):
         # at seed 1 these grids pick their smallest, largest and a middle h
+        edges = []
         for grid in ("0.05:0.1:2:geom", "0.15:0.3:3:geom", "0.25:0.5:5:lin"):
             out = tmp_path / grid
             assert run(["select", "--input", ring_csv, "--grid", grid, "--seed", "1",
                         "--output-dir", out]) == 0
-            h_star = json.loads(read(out / "select.json"))["h_star"]
+            meta = json.loads(read(out / "select.json"))
+            h_star = meta["h_star"]
             rows = read(out / "risk_curve.csv").strip().splitlines()[1:]
             hs = [float(r.split(",")[0]) for r in rows]
             edge = {min(hs): "smallest", max(hs): "largest"}.get(h_star)
+            assert meta["h_star_at_grid_edge"] == edge
+            edges.append(edge)
             warnings = [line for line in capsys.readouterr().err.splitlines()
                         if line.startswith("warning:")]
             assert warnings == ([f"warning: h_star={h_star} is the {edge} bandwidth left "
                                  "in the grid; the risk minimum may lie outside it"]
                                 if edge else [])
+        assert edges == ["smallest", "largest", None]
 
     def test_no_edge_warning_on_a_singleton_grid(self, ring_csv, tmp_path, capsys):
         assert run(["select", "--input", ring_csv, "--grid", "0.2:0.2:1",
                     "--seed", "1", "--output-dir", tmp_path]) == 0
         assert "warning:" not in capsys.readouterr().err
+        assert json.loads(read(tmp_path / "select.json"))["h_star_at_grid_edge"] is None
 
     def test_constant_column_selects_h_bar_with_edge_warning(self, ring_csv, tmp_path,
                                                              capsys):
@@ -215,6 +222,7 @@ class TestSelect:
                     "--output-dir", out]) == 0
         meta = json.loads(read(out / "select.json"))
         assert meta["h_star"] == meta["h_bar"]
+        assert meta["h_star_at_grid_edge"] == "largest"
         err = capsys.readouterr().err
         assert f"warning: h_star={meta['h_star']} is the largest bandwidth" in err
 

@@ -6,10 +6,15 @@ is checked exactly, with no tolerance.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ridgecover
 from ridgecover import (
     CoverageDiagram,
     LossPair,
@@ -308,3 +313,17 @@ class TestManifold:
             Manifold(np.empty((0, 2)))
         with pytest.raises(ValueError):
             Manifold(np.array([[np.nan, 0.0]]))
+
+
+def test_import_leaves_the_k_d_tree_unloaded():
+    # scipy.spatial loads on the first nearest-distance query, not on import
+    code = (
+        "import sys, ridgecover\n"
+        "assert 'scipy.spatial' not in sys.modules, 'loaded by import'\n"
+        "a, b = ridgecover.Manifold([[0.0, 0.0]]), ridgecover.Manifold([[3.0, 4.0]])\n"
+        "assert ridgecover.loss_pair(a, b) == ridgecover.LossPair(5.0, 25.0)\n"
+        "assert 'scipy.spatial' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ridgecover.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

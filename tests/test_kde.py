@@ -475,6 +475,37 @@ class TestTruncatedSums:
             for a, b in zip(ref, row):
                 np.testing.assert_array_equal(a[i:i + 1], b)
 
+    def test_scattered_rows_match_row_calls(self):
+        # One batch scatters its rows into the stacked buffer: rows without
+        # candidates (in the gap at x0 = 11) sit between rows with some,
+        # and one row near the 17,000-point clump is a block of its own.
+        rng = np.random.default_rng(106)
+        h = 0.1
+        for d in (1, 2, 3):
+            spread = clustered_cloud(rng, d, n=200)
+            pts = np.concatenate([rng.uniform(0.0, 0.05, (17000, d)), spread])
+            assert _Cells.build(pts, h) is not None
+            near = np.concatenate([np.full((1, d), 0.02), spread[-5:] + 0.01])
+            empty = rng.uniform(10.7, 11.3, (6, d))
+            queries = np.stack([near, empty], axis=1).reshape(12, d)  # alternating
+            _, count = _Cells.build(pts, h).neighbours(queries)
+            total = count.sum(axis=1)
+            assert total[0] > _PAIR_BLOCK and (total[2::2] > 0).all()
+            assert not total[1::2].any()
+            for order in (0, 1, 2, 3):
+                got = _kernel_sums(pts, queries, h, order)
+                for i in range(len(queries)):
+                    row = _kernel_sums(pts, queries[i:i + 1], h, order)
+                    for a, b in zip(got, row):
+                        if a is not None:
+                            np.testing.assert_array_equal(a[i:i + 1], b)
+                for s in got[1:]:
+                    if s is not None:
+                        assert not s[1::2].any()
+                        for perm in itertools.permutations(range(1, s.ndim)):
+                            np.testing.assert_array_equal(s, s.transpose(0, *perm))
+                assert not got[0][1::2].any() and got[0][::2].all()
+
     def test_inexact_cell_index_falls_back_to_dense(self):
         for pts, h in (
             (np.array([[0.0], [1.0]]), 1e-60),  # 1e59 cells on the axis

@@ -326,3 +326,4 @@ class TestRiskTypes:
         assert meta["h_star"] == 0.2
         assert meta["h_bar"] == 0.5
         assert meta["seed"] == 7
+        assert meta["h_star_at_grid_edge"] == "largest"
