@@ -290,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["l1", "l2"], default="l1", help="risk objective")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--workers", type=int,
-                   help="parallel workers for grid evaluation (default: all cores); "
-                        "results are identical for any setting")
+                   help="worker processes for all ridge fits of the grid, capped at the "
+                        "core count (default: all cores); results do not depend on it")
     p.add_argument("--columns", help="comma-separated column names to use")
     p.add_argument("--emit-ridge", dest="emit_ridge", action="store_true",
                    help="also extract and write the ridge at the selected bandwidth")
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
             argv[at:at] = _config_flags(args.config, args.parser)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 2
 

@@ -94,6 +94,12 @@ def _nearest_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _both_ways(a: Manifold, b: Manifold) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from each mesh point of ``a`` to ``b``, and of ``b`` to ``a``."""
+    _check_pair(a, b)
+    return _nearest_dists(a.points, b.points), _nearest_dists(b.points, a.points)
+
+
 def distance_to_set(x, s: Manifold) -> float:
     """Euclidean projection distance from a point to the mesh of ``s``."""
     return float(_nearest_dists(_as_vector(x, s.d)[None, :], s.points)[0])
@@ -126,14 +132,12 @@ def coverage_cdf(a: Manifold, b: Manifold, radii) -> "CoverageDiagram":
     ``b``, and cdf_21 the reverse.  Deterministic: every mesh point is
     used, no sampling.
     """
-    _check_pair(a, b)
+    d_ab, d_ba = _both_ways(a, b)
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size < 1:
         raise ValueError("radii must be a nonempty 1-D grid")
     if np.any(r < 0.0) or np.any(np.diff(r) < 0.0):
         raise ValueError("radii must be nonnegative and nondecreasing")
-    d_ab = _nearest_dists(a.points, b.points)
-    d_ba = _nearest_dists(b.points, a.points)
     cdf_12 = np.mean(d_ab[None, :] <= r[:, None], axis=1)
     cdf_21 = np.mean(d_ba[None, :] <= r[:, None], axis=1)
     return CoverageDiagram(radii=r, cdf_12=cdf_12, cdf_21=cdf_21)
@@ -146,9 +150,7 @@ def loss_pair(a: Manifold, b: Manifold) -> "LossPair":
     with squared distances.  Expectations run over all mesh points, so
     loss_pair(a, b) == loss_pair(b, a).
     """
-    _check_pair(a, b)
-    d_ab = _nearest_dists(a.points, b.points)
-    d_ba = _nearest_dists(b.points, a.points)
+    d_ab, d_ba = _both_ways(a, b)
     loss1 = 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
     loss2 = 0.5 * (float(np.mean(d_ab**2)) + float(np.mean(d_ba**2)))
     return LossPair(loss1=loss1, loss2=loss2)
@@ -160,9 +162,7 @@ def hausdorff(a: Manifold, b: Manifold) -> float:
     The smallest r such that each set lies within the r-dilation of the
     other; exact over the discretizations.
     """
-    _check_pair(a, b)
-    d_ab = _nearest_dists(a.points, b.points)
-    d_ba = _nearest_dists(b.points, a.points)
+    d_ab, d_ba = _both_ways(a, b)
     return float(max(np.max(d_ab), np.max(d_ba)))
 
 

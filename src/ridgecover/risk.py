@@ -2,8 +2,8 @@
 
 Two estimators of the expected (squared) projection distance between
 the fitted ridge and the truth are provided.  Each builds a fit list
-at bandwidth h and hands it to one scorer, which fits every entry and
-averages the coverage losses of each later ridge against the first:
+per bandwidth h; one scorer fits the lists of every h in one map and
+averages, per h, the coverage losses of each later ridge against the first:
 
 - data splitting lists two random halves of the data, so the risk is
   the mutual coverage loss of their ridges;
@@ -144,13 +144,14 @@ def _map_ordered(fn, tasks, workers: int | None):
     """Run independent tasks, preserving input order in the results.
 
     Every task is a pure function of its pickled arguments, so farming
-    them out to worker processes returns exactly what a sequential loop
-    would; ``workers=1`` (or a single task) short-circuits to the loop.
+    them out to ``workers`` processes (None: every core), capped at the
+    core and task counts, returns exactly what the sequential loop would.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(int(workers), len(tasks)))
-    if workers == 1 or len(tasks) <= 1:
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    cores = os.cpu_count() or 1
+    workers = min(cores if workers is None else int(workers), cores, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
@@ -169,33 +170,39 @@ def _fit_task(args):
     return extract_ridge(data, h, cfg)
 
 
-def _estimate(tasks, method: str, workers: int | None) -> RiskEstimate:
-    """Fit every task and average the losses of each later ridge against the first.
+def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
+               replicates: int, workers: int | None) -> list[RiskEstimate]:
+    """Risk estimates at each bandwidth of ``grid``, the k-th from stream ``rngs[k]``.
 
-    A loss pair that involves an empty ridge counts as infinite risk.
-    The means are exact sums divided by the number of pairs, so they
-    depend on neither the evaluation order nor ``workers``.  The first
-    ridge is kept as ``ridge`` for the bootstrap, whose first task is
-    the full data.
+    The fit lists are those ``risk_split`` and ``risk_bootstrap`` describe,
+    all fitted in one map.  A loss pair that involves an empty ridge is
+    infinite.  The means are exact sums divided by the number of pairs,
+    so they depend on neither the evaluation order nor ``workers``.
     """
-    first, *others = _map_ordered(_fit_task, tasks, workers)
-    losses = [
-        (INFINITE_RISK, INFINITE_RISK) if len(first) == 0 or len(other) == 0
-        else astuple(loss_pair(first.to_manifold(), other.to_manifold()))
-        for other in others
-    ]
-    risk1, risk2 = (math.fsum(column) / len(others) for column in zip(*losses))
-    return RiskEstimate(h=tasks[0][1], risk1=risk1, risk2=risk2, method=method,
-                        replicates=len(others),
-                        ridge=first if method == "bootstrap" else None)
-
-
-def _grid_entry_task(args):
-    points, h, method, cfg, stream, replicates = args
-    data = PointCloud(points)
-    if method == "split":
-        return risk_split(data, h, cfg, stream, workers=1)
-    return risk_bootstrap(data, h, replicates, cfg, stream, workers=1)
+    fit_lists = []
+    for h, rng in zip(grid, rngs):
+        if method == "split":
+            perm, cut = rng.permutation(data.n), (data.n + 1) // 2
+            fit_lists.append([(data.points[idx], h, cfg, None)
+                              for idx in (perm[:cut], perm[cut:])])
+        else:
+            fit_lists.append([(data.points, h, cfg, s)
+                              for s in [None, *rng.spawn(replicates)]])
+    ridges = iter(_map_ordered(_fit_task, [f for fits in fit_lists for f in fits],
+                               workers))
+    entries = []
+    for h, fits in zip(grid, fit_lists):
+        first, *others = [next(ridges) for _ in fits]
+        losses = [
+            (INFINITE_RISK, INFINITE_RISK) if len(first) == 0 or len(other) == 0
+            else astuple(loss_pair(first.to_manifold(), other.to_manifold()))
+            for other in others
+        ]
+        risk1, risk2 = (math.fsum(column) / len(others) for column in zip(*losses))
+        entries.append(RiskEstimate(h=h, risk1=risk1, risk2=risk2, method=method,
+                                    replicates=len(others),
+                                    ridge=first if method == "bootstrap" else None))
+    return entries
 
 
 def _check_split_size(data: PointCloud) -> None:
@@ -218,20 +225,17 @@ def risk_split(
 ) -> RiskEstimate:
     """Data-splitting risk estimate at bandwidth ``h``.
 
-    The data are randomly permuted and halved (odd n puts the extra
+    The data are permuted with ``rng`` and halved (odd n puts the extra
     point in the first half), a ridge is fitted on each half with the
     same bandwidth, and the mutual coverage losses of the two ridges are
     returned.  An empty half-ridge yields the infinite-risk sentinel.
-    The two halves may be fitted in parallel; results do not depend on
-    ``workers``.
+    This is the one-bandwidth case of ``select_bandwidth``; the halves
+    may be fitted in parallel, and ``workers`` does not change the result.
     """
     _check_split_size(data)
     if rng is None:
         rng = np.random.default_rng()
-    perm = rng.permutation(data.n)
-    cut = (data.n + 1) // 2
-    halves = (data.points[perm[:cut]], data.points[perm[cut:]])
-    return _estimate([(half, h, cfg, None) for half in halves], "split", workers)
+    return _estimates(data, [h], "split", cfg, [rng], 0, workers)[0]
 
 
 def risk_bootstrap(
@@ -249,14 +253,14 @@ def risk_bootstrap(
     its own stream of ``rng.spawn(replicates)``.  The risk is the mean
     coverage loss of each replicate ridge against the full-data ridge,
     which is returned as the estimate's ``ridge`` (possibly empty, in
-    which case the risk is infinite).  All fits may run in parallel;
-    the result does not depend on ``workers``.
+    which case the risk is infinite).  This is the one-bandwidth case of
+    ``select_bandwidth``; all fits may run in parallel, and ``workers``
+    does not change the result.
     """
     replicates = _check_replicates(replicates)
     if rng is None:
         rng = np.random.default_rng()
-    streams = [None, *rng.spawn(replicates)]
-    return _estimate([(data.points, h, cfg, s) for s in streams], "bootstrap", workers)
+    return _estimates(data, [h], "bootstrap", cfg, [rng], replicates, workers)[0]
 
 
 def select_bandwidth(
@@ -276,8 +280,9 @@ def select_bandwidth(
     Both L1 and L2 estimates are recorded at every surviving grid point;
     ``objective`` decides the argmin and ties go to the smallest h; if
     the risk is infinite at every grid point that is an error too.
-    Each grid point gets its own spawned RNG stream and may be evaluated
-    in parallel; the curve does not depend on ``workers``.
+    Grid point k builds its fit list from stream k of ``rng.spawn``, as
+    the estimator would; the fits of all grid points share one pool of
+    up to ``workers`` processes, and the curve does not depend on it.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -286,7 +291,7 @@ def select_bandwidth(
     if method == "split":
         _check_split_size(data)
     else:
-        _check_replicates(replicates)
+        replicates = _check_replicates(replicates)
     grid = [float(h) for h in np.atleast_1d(np.asarray(grid, dtype=float))]
     if not grid:
         raise ValueError("bandwidth grid is empty")
@@ -300,13 +305,8 @@ def select_bandwidth(
         )
     if rng is None:
         rng = np.random.default_rng()
-    streams = rng.spawn(len(kept))
-    entries = _map_ordered(
-        _grid_entry_task,
-        [(data.points, h, method, cfg, s, replicates)
-         for h, s in zip(kept, streams)],
-        workers,
-    )
+    entries = _estimates(data, kept, method, cfg, rng.spawn(len(kept)), replicates,
+                         workers)
     values = _objective_values(entries, objective)
     best = min(values)
     if not math.isfinite(best):

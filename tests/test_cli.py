@@ -235,6 +235,25 @@ class TestSelect:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exit_2(self, ring_csv, tmp_path, capsys, workers):
+        out = tmp_path / "sel"
+        assert run(["select", "--input", ring_csv, "--workers", workers,
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: workers must be >= 1, got {workers}"]
+        assert not out.exists()
+
+    def test_unallocatable_grid_exits_2(self, ring_csv, tmp_path, capsys):
+        # 1e15 bandwidths need 7 PiB, so the allocation fails at once
+        out = tmp_path / "sel"
+        assert run(["select", "--input", ring_csv, "--grid", "0.01:0.1:1000000000000000",
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "allocate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_all_infinite_risk_exits_2(self, tmp_path, capsys):
         # two far clusters of coincident points: every ridge is empty
         src = tmp_path / "clusters.csv"
@@ -382,6 +401,16 @@ class TestCompare:
             assert run(["compare", a, b, "--output-dir", out]) == 0
         assert read(outs[0] / "coverage.csv") == read(outs[1] / "coverage.csv")
         assert read(outs[0] / "compare.json") == read(outs[1] / "compare.json")
+
+    def test_unallocatable_radii_exit_2(self, tmp_path, capsys):
+        a, b = self.circles(tmp_path)
+        out = tmp_path / "cmp"
+        assert run(["compare", a, b, "--radii", "0.01:1:1000000000000000",
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "allocate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_overflowing_distances_exit_2(self, tmp_path, capsys):
         # 1e155 apart, the squared distance overflows: one error line,

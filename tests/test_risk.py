@@ -32,6 +32,10 @@ def no_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 
 
+def no_fit(*args, **kwargs):
+    raise AssertionError("a ridge was fitted")
+
+
 class IdentityRng:
     """Test double: identity permutation, zero noise, self-spawning."""
 
@@ -245,6 +249,65 @@ class TestSelectBandwidth:
         with pytest.raises(ValueError, match="replicates must be >= 1"):
             select_bandwidth(data, [0.1, 0.2], method="bootstrap", replicates=0,
                              workers=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_rejected_before_any_fit(self, monkeypatch, workers):
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(risk, "extract_ridge", no_fit)
+        cloud = ring_cloud(n=50)
+        rng = np.random.default_rng(0)
+        calls = [
+            lambda: select_bandwidth(cloud, [0.2], workers=workers, rng=rng),
+            lambda: select_bandwidth(cloud, [0.2], method="bootstrap", replicates=2,
+                                     workers=workers, rng=rng),
+            lambda: risk_split(cloud, 0.2, rng=rng, workers=workers),
+            lambda: risk_bootstrap(cloud, 0.2, replicates=2, rng=rng, workers=workers),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                call()
+
+    @pytest.mark.parametrize("method, fits_per_h", [("split", 2), ("bootstrap", 3)])
+    def test_one_map_over_every_fit_of_the_grid(self, monkeypatch, method, fits_per_h):
+        mapped = []
+        map_ordered = risk._map_ordered
+
+        def recording(fn, tasks, workers):
+            mapped.append((fn, len(tasks)))
+            return map_ordered(fn, tasks, workers)
+
+        monkeypatch.setattr(risk, "_map_ordered", recording)
+        grid = [0.2, 0.25, 0.3]
+        select_bandwidth(ring_cloud(n=120), grid, method=method, replicates=2,
+                         workers=1, rng=np.random.default_rng(0))
+        assert mapped == [(risk._fit_task, fits_per_h * len(grid))]
+
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        # nine fits (three bandwidths, 1 + 2 each) on two cores: 64
+        # workers asked for, a pool of two started
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs the tasks here, starting no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(risk.os, "cpu_count", lambda: 2)
+        curve = select_bandwidth(ring_cloud(n=120), [0.2, 0.25, 0.3], method="bootstrap",
+                                 replicates=2, workers=64, rng=np.random.default_rng(0))
+        assert sizes == [2]
+        assert len(curve.entries) == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("method", ["split", "bootstrap"])
