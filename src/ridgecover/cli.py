@@ -17,6 +17,7 @@ or ``false``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from importlib.metadata import PackageNotFoundError, version
@@ -27,7 +28,7 @@ import numpy as np
 from ._io import write_json
 from .coverage import Manifold, coverage_cdf, hausdorff, loss_pair
 from .datasets import KINDS, SyntheticSpec, generate, load_csv
-from .kde import PointCloud, normal_reference_bandwidth
+from .kde import PointCloud
 from .risk import select_bandwidth
 from .scms import RidgeSet, ScmsConfig, extract_ridge
 
@@ -48,6 +49,9 @@ def _parse_span(text: str, what: str):
         raise ValueError(f"{what} must look like min:max:count[:geom|lin], got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     scale = parts[3] if len(parts) == 4 else "geom"
+    if not math.isfinite(hi - lo):  # also a nan or infinite end
+        raise ValueError(f"{what}: min and max must be finite and so must max - min, "
+                         f"got {text!r}")
     if count < 1:
         raise ValueError(f"{what}: count must be >= 1")
     if hi < lo:
@@ -191,11 +195,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     if args.input is None:
         raise ValueError("select requires --input")
     cloud = _load_cloud(args.input, args.columns)
-    if args.grid is None:
-        h_bar = normal_reference_bandwidth(cloud)
-        grid = np.geomspace(h_bar / 20.0, h_bar, 12)
-    else:
-        grid = _parse_span(args.grid, "--grid")
+    grid = None if args.grid is None else _parse_span(args.grid, "--grid")
     cfg = _scms_config(args)
     rng = np.random.default_rng(args.seed)
     curve = select_bandwidth(cloud, grid, method=args.method,
@@ -281,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="select the bandwidth by estimated coverage risk")
     p.add_argument("--input", help="point cloud CSV")
-    p.add_argument("--grid", help="bandwidth grid min:max:count[:geom|lin] "
-                                  "(default: 12 geometric points up to the normal "
-                                  "reference cap)")
+    p.add_argument("--grid", help="bandwidth grid min:max:count[:geom|lin]; points "
+                                  "above the normal reference cap h_bar are dropped "
+                                  "(default: 12 geometric points from h_bar/20 to h_bar)")
     p.add_argument("--method", choices=["split", "bootstrap"], default="split",
                    help="risk estimator")
     p.add_argument("--replicates", type=int, default=10, help="bootstrap replicates")

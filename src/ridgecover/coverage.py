@@ -136,6 +136,8 @@ def coverage_cdf(a: Manifold, b: Manifold, radii) -> "CoverageDiagram":
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size < 1:
         raise ValueError("radii must be a nonempty 1-D grid")
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"radii must be finite, got {r[~np.isfinite(r)][0]}")
     if np.any(r < 0.0) or np.any(np.diff(r) < 0.0):
         raise ValueError("radii must be nonnegative and nondecreasing")
     cdf_12 = np.mean(d_ab[None, :] <= r[:, None], axis=1)

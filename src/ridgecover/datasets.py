@@ -13,6 +13,7 @@ with a counted warning.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -63,8 +64,9 @@ class SyntheticSpec:
         if int(self.n) < 1:
             raise ValueError("n must be >= 1")
         object.__setattr__(self, "n", int(self.n))
-        if self.noise_sigma is not None and float(self.noise_sigma) < 0.0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if self.noise_sigma is not None and not 0.0 <= float(self.noise_sigma) < math.inf:
+            raise ValueError("noise_sigma must be nonnegative and finite, "
+                             f"got {self.noise_sigma}")
         merged = dict(_DEFAULT_PARAMS[self.kind])
         if self.params:
             unknown = set(self.params) - set(merged)
@@ -74,6 +76,9 @@ class SyntheticSpec:
                     f"valid: {sorted(merged)}"
                 )
             merged.update({k: float(v) for k, v in self.params.items()})
+        bad = {k: v for k, v in merged.items() if not math.isfinite(v)}
+        if bad:
+            raise ValueError(f"params must be finite, got {bad}")
         object.__setattr__(self, "params", merged)
 
 
@@ -102,9 +107,11 @@ class _Curve:
     def __init__(self, fn, t0: float, t1: float):
         self.fn = fn
         self.ts = np.linspace(t0, t1, _DENSE)
-        pts = fn(self.ts)
-        seg = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
-        self.cum = np.concatenate([[0.0], np.cumsum(seg)])
+        # a curve too large for float64 gets a non-finite length, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = fn(self.ts)
+            seg = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
+            self.cum = np.concatenate([[0.0], np.cumsum(seg)])
         self.length = float(self.cum[-1])
 
     def at_arclength(self, s: np.ndarray) -> np.ndarray:
@@ -145,6 +152,9 @@ def generate(spec: SyntheticSpec) -> tuple[PointCloud, Manifold]:
     uses three equal blocks of 700 points each).
     """
     curves = _curves_for(spec)
+    if not all(math.isfinite(c.length) for c in curves):
+        raise ValueError(f"the {spec.kind} curve with params {spec.params} is too "
+                         "large: its arc length overflows float64")
     mesh_count = _MESH_POINTS[spec.kind]
     mesh = np.concatenate([c.mesh(mesh_count) for c in curves])
 
@@ -160,7 +170,11 @@ def generate(spec: SyntheticSpec) -> tuple[PointCloud, Manifold]:
     clean = np.concatenate([
         c.sample(cnt, rng) for c, cnt in zip(curves, counts) if cnt > 0
     ])
-    noisy = clean + sigma * rng.standard_normal(clean.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = clean + sigma * rng.standard_normal(clean.shape)
+    if not np.isfinite(noisy).all():
+        raise ValueError(f"noise_sigma={sigma} is too large: the noisy sample "
+                         "overflows float64")
     return PointCloud(noisy), Manifold(mesh)
 
 

@@ -244,11 +244,11 @@ def _layout(d: int, order: int) -> tuple:
 def _unstack(buf: np.ndarray, d: int, order: int) -> tuple:
     """The result tuple of :func:`_kernel_sums` from a stacked (m, nq) buffer.
 
-    s1 to s3 are gathered into fresh C-contiguous (nq, d, ...) arrays.
+    The ``order + 1`` sums; s1 and up are gathered into fresh
+    C-contiguous (nq, d, ...) arrays.
     """
     t = buf.T
-    sums = [buf[0]] + [t.take(m, axis=1) for m in _layout(d, order)[1]]
-    return tuple(sums + [None] * (3 - len(sums)))
+    return (buf[0], *[t.take(m, axis=1) for m in _layout(d, order)[1]])
 
 
 def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
@@ -262,8 +262,8 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
         s2[q, a, b] = sum_i w_i u_i[a] u_i[b]   (order >= 2)
         s3[q, a, b, c] = sum_i w_i u_i[a] u_i[b] u_i[c]   (order 3 only)
 
-    s0, s1 and s2 come back as a 3-tuple, None above ``order``; order 3
-    appends s3.  Normalization constants are left to the callers.  The
+    The ``order + 1`` sums s0 to s_order come back as a tuple.
+    Normalization constants are left to the callers.  The
     data are binned into sub-cells of side ``_CUTOFF * h / 2``, and each row sums
     only over the data in the box of sub-cells within two of its own on
     every split axis (see :class:`_Cells` for the bound on what is left
@@ -487,7 +487,7 @@ def density(model: KernelModel, x):
     a (Q,) array accordingly.  Always nonnegative.
     """
     q, single = _as_queries(model, x)
-    s0, _, _ = _kernel_sums(model.data.points, q, model.bandwidth, order=0, cells=model.cells)
+    (s0,) = _kernel_sums(model.data.points, q, model.bandwidth, order=0, cells=model.cells)
     out = s0 * _norm_const(model.n, model.d, model.bandwidth)
     return float(out[0]) if single else out
 
@@ -499,7 +499,7 @@ def gradient(model: KernelModel, x):
     Accepts a single d-vector or a (Q, d) batch.
     """
     q, single = _as_queries(model, x)
-    _, s1, _ = _kernel_sums(model.data.points, q, model.bandwidth, order=1, cells=model.cells)
+    _, s1 = _kernel_sums(model.data.points, q, model.bandwidth, order=1, cells=model.cells)
     out = s1 * (-_norm_const(model.n, model.d, model.bandwidth) / model.bandwidth)
     return out[0] if single else out
 
@@ -540,11 +540,17 @@ def normal_reference_bandwidth(data: PointCloud) -> float:
 
     with sigma the mean of the per-coordinate sample standard deviations
     (ddof=1).  Deterministic, strictly positive, and decreasing in n;
-    used as an upper cap on bandwidth grids because it oversmooths.
+    used as an upper cap on bandwidth grids because it oversmooths.  A
+    spread too wide for float64 is an error, not an infinite bandwidth.
     """
     if data.n < 2:
         raise ValueError(f"need at least 2 points, got n={data.n}")
-    sigma = float(np.mean(np.std(data.points, axis=0, ddof=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.std(data.points, axis=0, ddof=1)
+        sigma = float(np.mean(spread))
+    if not np.isfinite(sigma):
+        raise ValueError("the coordinate spread overflows float64: per-coordinate "
+                         f"standard deviations {spread.tolist()}")
     if sigma <= 0.0:
         raise ValueError("all coordinates have zero variance")
     n, d = data.n, data.d

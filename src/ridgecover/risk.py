@@ -13,8 +13,9 @@ averages, per h, the coverage losses of each later ridge against the first:
 
 A loss that involves an empty ridge is the infinite-risk sentinel, so
 the minimizer simply avoids that bandwidth.  The bandwidth is chosen as
-the risk minimizer over a grid capped by the normal reference rule,
-which is known to oversmooth.
+the risk minimizer (``RiskCurve.h_star``) over a grid capped by the
+normal reference rule h_bar, which is known to oversmooth; the default
+grid is 12 geometric points from h_bar / 20 to h_bar.
 
 The bootstrap's full-data ridge at h is also the ridge a caller wants
 once h is chosen, so each bootstrap estimate carries it as ``ridge``.
@@ -79,19 +80,18 @@ class RiskEstimate:
         return not (math.isfinite(self.risk1) and math.isfinite(self.risk2))
 
 
-def _objective_values(entries, objective: str) -> list[float]:
-    """The risk each entry scores under ``objective``: risk1 for l1, else risk2."""
-    return [e.risk1 if objective == "l1" else e.risk2 for e in entries]
-
-
 @dataclass(frozen=True)
 class RiskCurve:
-    """Per-bandwidth risk estimates with the selected minimizer."""
+    """Per-bandwidth risk estimates and the bandwidth derived from them.
+
+    ``h_star`` is the smallest h of minimal risk under ``objective``; a
+    risk that is infinite at every h is an error.
+    """
 
     entries: tuple[RiskEstimate, ...]
     h_bar: float
-    h_star: float
     objective: str
+    h_star: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -101,13 +101,15 @@ class RiskCurve:
             raise ValueError("risk curve needs at least one entry")
         if any(e.h > self.h_bar for e in self.entries):
             raise ValueError("entry bandwidth exceeds the normal reference cap")
-        best = min(self.objective_values())
-        chosen = [e.h for e, v in zip(self.entries, self.objective_values()) if v == best]
-        if self.h_star not in chosen:
-            raise ValueError("h_star does not attain the minimal estimated risk")
+        best, h_star = min(zip(self.objective_values(), (e.h for e in self.entries)))
+        if not math.isfinite(best):
+            raise ValueError("estimated risk is infinite at every grid bandwidth "
+                             "(the ridge came out empty at each h)")
+        object.__setattr__(self, "h_star", h_star)
 
     def objective_values(self) -> list[float]:
-        return _objective_values(self.entries, self.objective)
+        """The risk each entry scores under ``objective``: risk1 for l1, else risk2."""
+        return [e.risk1 if self.objective == "l1" else e.risk2 for e in self.entries]
 
     @property
     def h_star_at_grid_edge(self) -> str | None:
@@ -178,7 +180,14 @@ def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
     all fitted in one map.  A loss pair that involves an empty ridge is
     infinite.  The means are exact sums divided by the number of pairs,
     so they depend on neither the evaluation order nor ``workers``.
+    The inputs are checked here, before any fit or pool starts.
     """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method == "split" and data.n < 4:
+        raise ValueError(f"data splitting needs n >= 4, got n={data.n}")
+    if method == "bootstrap" and int(replicates) < 1:
+        raise ValueError("replicates must be >= 1")
     fit_lists = []
     for h, rng in zip(grid, rngs):
         if method == "split":
@@ -187,7 +196,7 @@ def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
                               for idx in (perm[:cut], perm[cut:])])
         else:
             fit_lists.append([(data.points, h, cfg, s)
-                              for s in [None, *rng.spawn(replicates)]])
+                              for s in [None, *rng.spawn(int(replicates))]])
     ridges = iter(_map_ordered(_fit_task, [f for fits in fit_lists for f in fits],
                                workers))
     entries = []
@@ -203,17 +212,6 @@ def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
                                     replicates=len(others),
                                     ridge=first if method == "bootstrap" else None))
     return entries
-
-
-def _check_split_size(data: PointCloud) -> None:
-    if data.n < 4:
-        raise ValueError(f"data splitting needs n >= 4, got n={data.n}")
-
-
-def _check_replicates(replicates) -> int:
-    if int(replicates) < 1:
-        raise ValueError("replicates must be >= 1")
-    return int(replicates)
 
 
 def risk_split(
@@ -232,7 +230,6 @@ def risk_split(
     This is the one-bandwidth case of ``select_bandwidth``; the halves
     may be fitted in parallel, and ``workers`` does not change the result.
     """
-    _check_split_size(data)
     if rng is None:
         rng = np.random.default_rng()
     return _estimates(data, [h], "split", cfg, [rng], 0, workers)[0]
@@ -257,7 +254,6 @@ def risk_bootstrap(
     ``select_bandwidth``; all fits may run in parallel, and ``workers``
     does not change the result.
     """
-    replicates = _check_replicates(replicates)
     if rng is None:
         rng = np.random.default_rng()
     return _estimates(data, [h], "bootstrap", cfg, [rng], replicates, workers)[0]
@@ -265,7 +261,7 @@ def risk_bootstrap(
 
 def select_bandwidth(
     data: PointCloud,
-    grid,
+    grid=None,
     method: str = "split",
     objective: str = "l1",
     cfg: ScmsConfig = ScmsConfig(),
@@ -275,29 +271,27 @@ def select_bandwidth(
 ) -> RiskCurve:
     """Pick the bandwidth minimizing the estimated coverage risk.
 
-    Grid points above the normal reference bandwidth are dropped before
+    ``grid`` None means 12 geometric points from h_bar / 20 to h_bar,
+    with h_bar the normal reference bandwidth.  Every grid bandwidth must
+    be positive and finite.  Grid points above h_bar are dropped before
     evaluation; if nothing is left that is an error reporting the cap.
-    Both L1 and L2 estimates are recorded at every surviving grid point;
-    ``objective`` decides the argmin and ties go to the smallest h; if
-    the risk is infinite at every grid point that is an error too.
+    Both L1 and L2 estimates are recorded at every surviving grid point,
+    and the curve picks ``h_star`` under ``objective`` (see ``RiskCurve``).
     Grid point k builds its fit list from stream k of ``rng.spawn``, as
     the estimator would; the fits of all grid points share one pool of
     up to ``workers`` processes, and the curve does not depend on it.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    if method == "split":
-        _check_split_size(data)
-    else:
-        replicates = _check_replicates(replicates)
+    h_bar = normal_reference_bandwidth(data)
+    if grid is None:
+        grid = np.geomspace(h_bar / 20.0, h_bar, 12)
     grid = [float(h) for h in np.atleast_1d(np.asarray(grid, dtype=float))]
     if not grid:
         raise ValueError("bandwidth grid is empty")
-    if any(h <= 0.0 for h in grid):
-        raise ValueError("grid bandwidths must be positive")
-    h_bar = normal_reference_bandwidth(data)
+    bad = [h for h in grid if not 0.0 < h < math.inf]
+    if bad:
+        raise ValueError(f"grid bandwidths must be positive and finite, got {bad[0]}")
     kept = [h for h in grid if h <= h_bar]
     if not kept:
         raise ValueError(
@@ -307,13 +301,4 @@ def select_bandwidth(
         rng = np.random.default_rng()
     entries = _estimates(data, kept, method, cfg, rng.spawn(len(kept)), replicates,
                          workers)
-    values = _objective_values(entries, objective)
-    best = min(values)
-    if not math.isfinite(best):
-        raise ValueError(
-            "estimated risk is infinite at every grid bandwidth "
-            "(the ridge came out empty at each h)"
-        )
-    h_star = min(e.h for e, v in zip(entries, values) if v == best)
-    return RiskCurve(entries=tuple(entries), h_bar=h_bar, h_star=h_star,
-                     objective=objective)
+    return RiskCurve(entries=entries, h_bar=h_bar, objective=objective)

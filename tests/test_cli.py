@@ -76,6 +76,21 @@ class TestGen:
         assert np.allclose(radii, 3.0, atol=1e-6)
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "noisy_circle", "--param", "radius=nan"],
+        ["--kind", "noisy_circle", "--param", "radius=inf"],
+        ["--kind", "noisy_circle", "--param", "radius=1e308"],
+        ["--kind", "spiral", "--param", "pitch=1e300"],
+        ["--kind", "spiral", "--noise-sigma", "nan"],
+    ])
+    def test_non_finite_or_overflowing_curve_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "gen"
+        assert run(["gen", *flags, "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+
 class TestRidge:
     def test_ring_ridge_near_circle(self, ring_csv, tmp_path):
         out = tmp_path / "ridge"
@@ -254,6 +269,25 @@ class TestSelect:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0.01:inf:3", "nan:0.1:3", "0:inf:3:lin"])
+    def test_non_finite_grid_exits_2(self, ring_csv, tmp_path, capsys, grid):
+        out = tmp_path / "sel"
+        assert run(["select", "--input", ring_csv, "--grid", grid,
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --grid: min and max must be finite and so must "
+                       f"max - min, got {grid!r}"]
+        assert not out.exists()
+
+    def test_overflowing_spread_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "wide.csv"
+        src.write_text("x0,x1\n0,0\n1e308,1\n-1e308,2\n3,3\n4,4\n")
+        out = tmp_path / "sel"
+        assert run(["select", "--input", src, "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the coordinate spread overflows")
+        assert not out.exists()
+
     def test_all_infinite_risk_exits_2(self, tmp_path, capsys):
         # two far clusters of coincident points: every ridge is empty
         src = tmp_path / "clusters.csv"
@@ -410,6 +444,16 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "allocate" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radii", ["0:inf:3:lin", "0:nan:3:lin", "-1e308:1e308:3:lin"])
+    def test_non_finite_radii_exit_2(self, tmp_path, capsys, radii):
+        a, b = self.circles(tmp_path)
+        out = tmp_path / "cmp"
+        assert run(["compare", a, b, f"--radii={radii}", "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --radii: min and max must be finite and so must "
+                       f"max - min, got {radii!r}"]
         assert not out.exists()
 
     def test_overflowing_distances_exit_2(self, tmp_path, capsys):

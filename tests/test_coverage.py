@@ -194,6 +194,9 @@ class TestCoverageCdf:
             coverage_cdf(a, a, np.array([0.2, 0.1]))
         with pytest.raises(ValueError):
             coverage_cdf(a, a, np.array([-0.1, 0.2]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"radii must be finite, got {bad}"):
+                coverage_cdf(a, a, np.array([0.0, bad]))
 
 
 class TestLossPair:

@@ -29,12 +29,32 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="radius"):
             SyntheticSpec(kind="spiral", params={"radius": 1.0})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_params_and_noise(self, value):
+        with pytest.raises(ValueError, match="params must be finite"):
+            SyntheticSpec(kind="noisy_circle", params={"radius": value})
+        with pytest.raises(ValueError, match="noise_sigma must be nonnegative and finite"):
+            SyntheticSpec(kind="spiral", noise_sigma=value)
+
     def test_param_defaults_merged(self):
         spec = SyntheticSpec(kind="helix", params={"pitch": 0.3})
         assert spec.params == {"radius": 1.0, "pitch": 0.3}
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("kind, params", [
+        ("noisy_circle", {"radius": 1e308}),
+        ("spiral", {"pitch": 1e300}),
+        ("helix", {"pitch": 1e308}),
+    ])
+    def test_overflowing_curve_rejected_without_warning(self, kind, params):
+        with pytest.raises(ValueError, match="arc length overflows"):
+            generate(SyntheticSpec(kind=kind, n=10, params=params))
+
+    def test_overflowing_noise_rejected_without_warning(self):
+        with pytest.raises(ValueError, match="noisy sample overflows"):
+            generate(SyntheticSpec(kind="noisy_circle", n=10, noise_sigma=1e308))
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_shapes_and_dimensions(self, kind):
         cloud, truth = generate(SyntheticSpec(kind=kind, n=50, seed=1))

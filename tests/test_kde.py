@@ -279,6 +279,13 @@ class TestNormalReferenceBandwidth:
         with pytest.raises(ValueError):
             normal_reference_bandwidth(PointCloud(np.ones((10, 2))))
 
+    def test_overflowing_spread_rejected_without_warning(self):
+        # the squared deviations of column 0 overflow: an error naming the
+        # spread, not inf (tier-1 turns the overflow warning into an error)
+        pts = [[0.0, 0.0], [1e308, 1.0], [-1e308, 2.0], [3.0, 3.0], [4.0, 4.0]]
+        with pytest.raises(ValueError, match=r"spread overflows.*\[inf, 1\.58"):
+            normal_reference_bandwidth(PointCloud(pts))
+
 
 class TestPointCloud:
     def test_validation(self):
@@ -496,14 +503,13 @@ class TestTruncatedSums:
                 got = _kernel_sums(pts, queries, h, order)
                 for i in range(len(queries)):
                     row = _kernel_sums(pts, queries[i:i + 1], h, order)
+                    assert len(got) == len(row) == order + 1
                     for a, b in zip(got, row):
-                        if a is not None:
-                            np.testing.assert_array_equal(a[i:i + 1], b)
+                        np.testing.assert_array_equal(a[i:i + 1], b)
                 for s in got[1:]:
-                    if s is not None:
-                        assert not s[1::2].any()
-                        for perm in itertools.permutations(range(1, s.ndim)):
-                            np.testing.assert_array_equal(s, s.transpose(0, *perm))
+                    assert not s[1::2].any()
+                    for perm in itertools.permutations(range(1, s.ndim)):
+                        np.testing.assert_array_equal(s, s.transpose(0, *perm))
                 assert not got[0][1::2].any() and got[0][::2].all()
 
     def test_inexact_cell_index_falls_back_to_dense(self):

@@ -166,11 +166,26 @@ class TestSentinel:
                          method="split", replicates=1),
             RiskEstimate(h=0.2, risk1=0.5, risk2=0.3, method="split", replicates=1),
         )
-        curve = RiskCurve(entries=entries, h_bar=1.0, h_star=0.2, objective="l1")
+        curve = RiskCurve(entries=entries, h_bar=1.0, objective="l1")
         assert curve.h_star == 0.2
 
 
 class TestSelectBandwidth:
+    def test_default_grid_is_twelve_geometric_points_up_to_h_bar(self):
+        cloud = ring_cloud(n=60)
+        h_bar = normal_reference_bandwidth(cloud)
+        curve = select_bandwidth(cloud, rng=np.random.default_rng(4), workers=1)
+        explicit = select_bandwidth(cloud, np.geomspace(h_bar / 20, h_bar, 12),
+                                    rng=np.random.default_rng(4), workers=1)
+        assert curve == explicit
+        assert len(curve.entries) == 12 and curve.entries[-1].h == h_bar
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 0.0])
+    def test_non_finite_or_nonpositive_grid_rejected(self, monkeypatch, bad):
+        monkeypatch.setattr(risk, "extract_ridge", no_fit)
+        with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+            select_bandwidth(ring_cloud(n=50), [0.3, bad], rng=np.random.default_rng(0))
+
     def test_singleton_grid(self):
         cloud = ring_cloud()
         h_bar = normal_reference_bandwidth(cloud)
@@ -364,9 +379,29 @@ class TestRiskTypes:
     def test_curve_invariants_enforced(self):
         e = RiskEstimate(h=0.5, risk1=0.1, risk2=0.05, method="split", replicates=1)
         with pytest.raises(ValueError):
-            RiskCurve(entries=(e,), h_bar=0.4, h_star=0.5, objective="l1")
-        with pytest.raises(ValueError):
-            RiskCurve(entries=(e,), h_bar=1.0, h_star=0.9, objective="l1")
+            RiskCurve(entries=(e,), h_bar=0.4, objective="l1")
+
+    @pytest.mark.parametrize("objective, h_star", [("l1", 0.2), ("l2", 0.3)])
+    def test_curve_derives_h_star(self, objective, h_star):
+        # ties go to the smallest h, in whatever order the entries come,
+        # and the infinite sentinel at the smallest h never wins
+        def est(h, risk1, risk2):
+            return RiskEstimate(h=h, risk1=risk1, risk2=risk2, method="split",
+                                replicates=1)
+
+        entries = [est(0.1, INFINITE_RISK, INFINITE_RISK), est(0.4, 0.5, 0.3),
+                   est(0.3, 0.5, 0.3), est(0.2, 0.5, 0.4)]
+        for order in (entries, entries[::-1]):
+            curve = RiskCurve(entries=order, h_bar=1.0, objective=objective)
+            assert curve.h_star == h_star
+        with pytest.raises(TypeError):
+            RiskCurve(entries=entries, h_bar=1.0, h_star=0.4, objective=objective)
+
+    def test_curve_with_infinite_risk_everywhere_rejected(self):
+        entries = [RiskEstimate(h=h, risk1=INFINITE_RISK, risk2=INFINITE_RISK,
+                                method="bootstrap", replicates=2) for h in (0.1, 0.2)]
+        with pytest.raises(ValueError, match="infinite at every grid bandwidth"):
+            RiskCurve(entries=entries, h_bar=1.0, objective="l1")
 
     def test_curve_serialization(self, tmp_path):
         import json
@@ -377,7 +412,7 @@ class TestRiskTypes:
             RiskEstimate(h=np.float64(0.2), risk1=0.1, risk2=0.02, method="split",
                          replicates=1),
         )
-        curve = RiskCurve(entries=entries, h_bar=0.5, h_star=0.2, objective="l1")
+        curve = RiskCurve(entries=entries, h_bar=0.5, objective="l1")
         csv_path = tmp_path / "curve.csv"
         curve.save_csv(csv_path)
         rows = csv_path.read_text().strip().splitlines()
