@@ -69,7 +69,10 @@ def _parse_mesh(text: str):
     if text == "data":
         return "data", None
     if text.startswith("grid:"):
-        return "grid", float(text.split(":", 1)[1])
+        try:
+            return "grid", float(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"--mesh grid:<res> needs a number, got {text!r}") from None
     raise ValueError(f"--mesh must be 'data' or 'grid:<res>', got {text!r}")
 
 

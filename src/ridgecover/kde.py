@@ -12,9 +12,8 @@ within two of its own along each split axis (the linked-cell method of
 molecular dynamics).  An axis is split when the data occupy at least
 five sub-cells on it, the width of the box; along the others every
 point is a candidate.  Each leftover term has |u| > c along some axis,
-so n points change s0 by at most n e^(-c^2/2), the gradient and
-Hessian sums by at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), and the
-third moments (used by the SCMS step) by n c^3 e^(-c^2/2), plus
+so n points change s0 by at most n e^(-c^2/2), and the gradient and
+Hessian sums by at most n c e^(-c^2/2) and n c^2 e^(-c^2/2), plus
 round-off.  A query with no data in its box gets exactly zero density.
 When no axis is split, the whole call instead runs exactly over all
 the data.  That choice depends only on the data and h.  A
@@ -29,8 +28,8 @@ the truncated one) and never through BLAS, so a row's value depends
 only on the data, h and that query: results are bit-identical across
 block sizes, batch make-up and thread settings.  Each moment component
 is reduced straight into its row of one stacked (m, queries) buffer,
-m = 20 at order 3 in d = 3; a block fills its columns with one
-assignment, and a call splits the buffer into s0 to s3 once.  The
+m = 10 at order 2 in d = 3; a block fills its columns with one
+assignment, and a call splits the buffer into s0 to s2 once.  The
 buffer only decides where a sum is stored, never which terms it adds
 or in what order, so stacking leaves every row independent of the
 block it was computed in.
@@ -89,11 +88,11 @@ _LOOKUP_ROWS = 256
 # it, the width of a query's box; along a narrower axis every point is a
 # candidate.  Waiting for 6 or 7 sub-cells (7 was the earlier rule) left
 # 1200-point helices at h = 0.12 and 0.15 split on z alone, with 62-73%
-# of all pairs in the boxes instead of 28-43%, and their order-3 sums of
-# the data at the data took 1.5-1.8x as long (CPU time, 2 cores).  A
-# smaller value would send more wide-bandwidth fits to the cells path,
-# where 750-point spiral halves at h = 0.29-0.38 already run their whole
-# SCMS fit 1.09-1.27x slower than dense.
+# of all pairs in the boxes instead of 28-43%, and their kernel sums of
+# the data at the data, then up to third moments, took 1.5-1.8x as long
+# (CPU time, 2 cores).  A smaller value would send more wide-bandwidth
+# fits to the cells path, where 750-point spiral halves at h = 0.29-0.38
+# already run their whole SCMS fit 1.09-1.27x slower than dense.
 _SPLIT_SUBCELLS = 5
 
 
@@ -219,18 +218,15 @@ def _layout(d: int, order: int) -> tuple:
     """Rows of the stacked moment buffer: (m, maps).
 
     :func:`_moments` reduces its m moment components, up to ``order``, in
-    the order s0, then for each a: s1[a], and for each b >= a: s2[a, b]
-    followed by s3[a, b, c] for each c >= b.  Row k of a stacked (m, rows)
-    buffer holds component k.  ``maps[j - 1]``, of shape (d,) * j, gives
-    the buffer row of every entry of s_j, so that all permutations of an
-    index share the row of its sorted form.
+    the order s0, then for each a: s1[a] followed by s2[a, b] for each
+    b >= a.  Row k of a stacked (m, rows) buffer holds component k.
+    ``maps[j - 1]``, of shape (d,) * j, gives the buffer row of every
+    entry of s_j, so that both orders of an index pair share one row.
     """
     keys = [()]
     for a in range(d):
         keys.append((a,))
-        for b in range(a, d):
-            keys.append((a, b))
-            keys.extend((a, b, c) for c in range(b, d))
+        keys.extend((a, b) for b in range(a, d))
     keys = [key for key in keys if len(key) <= order]
     maps = [np.empty((d,) * j, dtype=np.intp) for j in range(1, order + 1)]
     for row, key in enumerate(keys[1:], start=1):
@@ -259,8 +255,7 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
 
         s0[q]       = sum_i w_i
         s1[q, a]    = sum_i w_i u_i[a]          (order >= 1)
-        s2[q, a, b] = sum_i w_i u_i[a] u_i[b]   (order >= 2)
-        s3[q, a, b, c] = sum_i w_i u_i[a] u_i[b] u_i[c]   (order 3 only)
+        s2[q, a, b] = sum_i w_i u_i[a] u_i[b]   (order 2)
 
     The ``order + 1`` sums s0 to s_order come back as a tuple.
     Normalization constants are left to the callers.  The
@@ -277,9 +272,9 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     each row depends only on the data, h and that row, never on the
     block size or the rest of the batch.
 
-    Every component lands in one row of a single (m, nq) buffer (m = 20
-    at order 3 in d = 3, see :func:`_layout`): each block is scattered
-    into it with one assignment, and the call splits it into s0 to s3
+    Every component lands in one row of a single (m, nq) buffer (m = 10
+    at order 2 in d = 3, see :func:`_layout`): each block is scattered
+    into it with one assignment, and the call splits it into s0 to s2
     once at the end, so a block's fixed cost does not grow with the
     number of components and their permutations.
 
@@ -324,7 +319,7 @@ class _Cells(NamedTuple):
     leaves out is at most
 
         |ds0| <= n e^(-c^2/2),  |ds1| <= n c e^(-c^2/2),
-        |ds2| <= n c^2 e^(-c^2/2),  |ds3| <= n c^3 e^(-c^2/2)
+        |ds2| <= n c^2 e^(-c^2/2)
 
     (x^k e^(-x^2/2) decreases beyond sqrt k), plus
     round-off in the cell indices.  The box lies within the 3^k cells of
@@ -385,7 +380,7 @@ def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count) -> Non
     ptr = np.concatenate(([0], total.cumsum()))
     d = queries.shape[1]
     # the moments' scratch and dv for the largest block, reused by every block
-    work = np.empty((4 + d) * min(ptr[-1], max(_PAIR_BLOCK, total.max(initial=0))))
+    work = np.empty((3 + d) * min(ptr[-1], max(_PAIR_BLOCK, total.max(initial=0))))
     r = 0
     while r < rows.size:
         stop = max(int(ptr.searchsorted(ptr[r] + _PAIR_BLOCK, side="right")) - 1, r + 1)
@@ -396,13 +391,13 @@ def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count) -> Non
         idx = shift.repeat(cnt) + np.arange(ptr[stop] - ptr[r])
         seg = ptr[r:stop] - ptr[r]
         terms = idx.size
-        dv = work[4 * terms:(4 + d) * terms].reshape(d, terms)
+        dv = work[3 * terms:(3 + d) * terms].reshape(d, terms)
         # mode="clip" lets take write into dv unbuffered; every index is in range
         cells.sorted_t.take(idx, axis=1, out=dv, mode="clip")
         np.subtract(queries.T[:, sel].repeat(total[r:stop], axis=1), dv, out=dv)
         local = np.empty((buf.shape[0], sel.size))
         _moments(dv, h, order, functools.partial(np.add.reduceat, indices=seg), local,
-                 work[:4 * terms].reshape(4, terms))
+                 work[:3 * terms].reshape(3, terms))
         buf[:, sel] = local
         r = stop
 
@@ -420,12 +415,12 @@ def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
     queries_t = np.ascontiguousarray(queries.T)
     step = max(1, _PAIR_BLOCK // points.shape[0])
     reduce = functools.partial(np.add.reduce, axis=-1)
-    work = np.empty((4 + d, min(step, nq), points.shape[0]))  # scratch, then dv
+    work = np.empty((3 + d, min(step, nq), points.shape[0]))  # scratch, then dv
     for start in range(0, nq, step):
         sl = slice(start, min(start + step, nq))
         block = work[:, :sl.stop - start]
-        dv = np.subtract(queries_t[:, sl, None], points_t[:, None, :], out=block[4:])
-        _moments(dv, h, order, reduce, buf[:, sl], block[:4])
+        dv = np.subtract(queries_t[:, sl, None], points_t[:, None, :], out=block[3:])
+        _moments(dv, h, order, reduce, buf[:, sl], block[:3])
     return _unstack(buf, d, order)
 
 
@@ -441,14 +436,14 @@ def _moments(dv: np.ndarray, h: float, order: int, reduce, buf: np.ndarray,
     written in place, so a row's value depends only on its terms and on
     ``reduce``; which row of ``buf`` receives it changes no bit.
 
-    ``work`` holds four scratch arrays of the shape of ``dv[0]``.  The
+    ``work`` holds three scratch arrays of the shape of ``dv[0]``.  The
     callers carve it and ``dv`` from one allocation per call, reused by
     every block: fresh block-sized arrays for each block let the heap
     shrink and grow again between blocks, and every page of every block
     was a page fault (117k per three dense circle fits at h = 0.4).
     """
     rows = iter(buf)
-    w, tmp, pv, pvv = work
+    w, tmp, pv = work
     d = dv.shape[0]
     dv /= h
     np.multiply(dv[0], dv[0], out=w)
@@ -467,11 +462,6 @@ def _moments(dv: np.ndarray, h: float, order: int, reduce, buf: np.ndarray,
             for b in range(a, d):
                 np.multiply(pv, dv[b], out=tmp)
                 reduce(tmp, out=next(rows))
-                if order < 3:
-                    continue
-                for c in range(b, d):
-                    np.multiply(tmp, dv[c], out=pvv)
-                    reduce(pvv, out=next(rows))
 
 
 def _norm_const(n: int, d: int, h: float) -> float:

@@ -50,6 +50,13 @@ INFINITE_RISK = float("inf")
 METHODS = ("split", "bootstrap")
 OBJECTIVES = ("l1", "l2")
 
+# Most bootstrap replicates accepted.  The streams of every fit of the
+# grid are spawned before the first fit starts, at about 1 KiB and 25 us
+# each (2 cores): at this cap the default 12-point grid holds 120k
+# streams, about 120 MiB, ahead of 120k ridge fits.  A far larger count
+# would overflow ``Generator.spawn``.
+_MAX_REPLICATES = 10_000
+
 
 @dataclass(frozen=True)
 class RiskEstimate:
@@ -186,8 +193,8 @@ def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "split" and data.n < 4:
         raise ValueError(f"data splitting needs n >= 4, got n={data.n}")
-    if method == "bootstrap" and int(replicates) < 1:
-        raise ValueError("replicates must be >= 1")
+    if method == "bootstrap" and not 1 <= int(replicates) <= _MAX_REPLICATES:
+        raise ValueError(f"replicates must be >= 1 and <= {_MAX_REPLICATES}, got {replicates}")
     fit_lists = []
     for h, rng in zip(grid, rngs):
         if method == "split":
@@ -247,10 +254,11 @@ def risk_bootstrap(
 
     The fit list is the full data followed by one smoothed-bootstrap
     draw per replicate: n points from the KDE at ``h``, each draw from
-    its own stream of ``rng.spawn(replicates)``.  The risk is the mean
-    coverage loss of each replicate ridge against the full-data ridge,
-    which is returned as the estimate's ``ridge`` (possibly empty, in
-    which case the risk is infinite).  This is the one-bandwidth case of
+    its own stream of ``rng.spawn(replicates)``, with 1 to 10,000
+    replicates.  The risk is the mean coverage loss of each replicate
+    ridge against the full-data ridge, which is returned as the
+    estimate's ``ridge`` (possibly empty, in which case the risk is
+    infinite).  This is the one-bandwidth case of
     ``select_bandwidth``; all fits may run in parallel, and ``workers``
     does not change the result.
     """

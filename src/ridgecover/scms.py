@@ -15,19 +15,21 @@ leaving them stranded on spurious transverse crests.  Ridge membership
 itself is tested on the plain density Hessian: a retained point has
 lambda2 < 0 there, matching the ridge definition.
 
-Plain SCMS, the step -h sum_{j >= 1} m_j v_j, converges only linearly:
-each step shrinks the normal coefficient c_j = -h m_j by the factor
-1 + kappa_j, where kappa_j is the rate at which c_j changes along v_j,
-so it crawls where kappa_j is near 0, as where the density is flat
-across the ridge.  Each normal coefficient with kappa_j < 0 is therefore
-multiplied by min(1/(-kappa_j), 4), and at least 1: a Newton step on
-c_j.  kappa_j is lam_j plus a term from the eigenbasis turning as x
-moves, which needs third kernel moments (see ``_newton_scale``); with
-lam_j alone the stretched step overshoots and oscillates where the
-basis turns fast, at filament ends and clumps.  The factor is never
-below 1 and never 0, so the fixed points, V V^T grad p = 0, are those
-of plain SCMS; only which point of the ridge a trajectory ends on
-changes.
+Plain SCMS moves x by g = V V^T (m(x) - x) = -h sum_{j >= 1} m_j v_j
+and converges only linearly: each step shrinks the normal coefficient
+c_j = -h m_j by the factor 1 + kappa_j, where kappa_j is the rate at
+which c_j changes along v_j, so it crawls where kappa_j is near 0, as
+where the density is flat across the ridge.  ``extract_ridge`` therefore
+moves each trajectory by alpha g, with the two-point step size of
+Barzilai and Borwein (IMA J. Numer. Anal. 1988) taken from that
+trajectory's own last step dx and the change in g over it:
+alpha = |dx|^2 / (dx . (g_old - g)), clipped to [1, _STEP_CAP], and 1 on
+the first step and wherever dx . (g_old - g) <= 0.  Along the last step
+g changes at the rate kappa, so alpha estimates 1/(-kappa), a secant
+Newton step, and the measured change takes in the turning of the
+eigenbasis too.  alpha is never below 1 and never 0, so the fixed
+points, V V^T grad p = 0, are those of plain SCMS; only which point of
+the ridge a trajectory ends on changes.
 """
 
 from __future__ import annotations
@@ -53,14 +55,15 @@ __all__ = [
 # Default stopping tolerance on the displacement norm, as a fraction of h.
 DEFAULT_TOLERANCE_FACTOR = 1e-6
 
-# Largest Newton factor on a normal step coefficient; 1/(-kappa) grows
-# without bound where the density is flat across the ridge.  Over the 92
-# ridge fits of the ridge_narrow, select_split and select_bootstrap
-# benchmark workloads at seeds 0 and 1, plain SCMS took 2.98M
-# trajectory-steps and left 93 trajectories at max_iterations.  Caps of
-# 2, 4, 8 and 20 took 1.43M, 0.77M, 0.62M and 0.60M steps and left 15,
-# 3, 5 and 10 there (6, 1, 4 and 9 of them stopped by plain SCMS).
-_NEWTON_CAP = 4.0
+# Largest two-point step size; 1/(-kappa) grows without bound where the
+# density is flat across the ridge.  Over the 92 ridge fits of the
+# ridge_narrow, select_split and select_bootstrap benchmark workloads at
+# seeds 0 and 1, plain SCMS took 2.98M trajectory-steps and left 93
+# trajectories at max_iterations.  Caps of 2, 4 and 8 took 1.51M, 0.91M
+# and 0.77M steps and left 14, 6 and 3 there.  Every cap chose the same
+# h* on each select run, and the ridge losses to the true curve agreed to
+# within 1.3%.
+_STEP_CAP = 8.0
 
 # Largest grid mesh accepted.  A step sums each mesh point only over the
 # data in its box of sub-cells, but once h is wide enough for the sums to
@@ -87,7 +90,8 @@ class ScmsConfig:
     """Knobs for the SCMS iteration.
 
     ``tolerance`` is the stopping threshold on the displacement norm per
-    step; ``None`` means 1e-6 * h, resolved when the bandwidth is known.
+    step, positive and finite; ``None`` means 1e-6 * h, resolved when
+    the bandwidth is known.
     ``mesh`` selects the initial points: ``"data"`` starts one
     trajectory per data point, ``"grid"`` builds an axis-aligned grid
     over the data bounding box with spacing <= ``grid_resolution`` and
@@ -106,8 +110,8 @@ class ScmsConfig:
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
-        if self.tolerance is not None and not (float(self.tolerance) > 0.0):
-            raise ValueError("tolerance must be positive")
+        if self.tolerance is not None and not 0.0 < float(self.tolerance) < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.mesh not in ("data", "grid"):
             raise ValueError(f"mesh must be 'data' or 'grid', got {self.mesh!r}")
         if self.mesh == "grid":
@@ -183,9 +187,9 @@ class RidgeSet:
 
 
 @functools.cache
-def _eye(d: int, dtype=float) -> np.ndarray:
-    """A read-only d x d identity, built once per (d, dtype)."""
-    eye = np.eye(d, dtype=dtype)
+def _eye(d: int) -> np.ndarray:
+    """A read-only d x d identity, built once per d."""
+    eye = np.eye(d)
     eye.setflags(write=False)
     return eye
 
@@ -213,74 +217,57 @@ def _normal_frame(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray):
     return lam, vec, np.einsum("qa,qak->qk", mu, vec)
 
 
-def _newton_scale(s0: np.ndarray, s3: np.ndarray, lam: np.ndarray, vec: np.ndarray,
-                  m: np.ndarray) -> np.ndarray:
-    """Newton factors, (q, d), for the step coefficients in the frame.
-
-    With lam, vec, m the frame of :func:`_normal_frame`, coefficient
-    c_j = v_j . (m(x) - x) = -h m_j changes along v_j at the rate
-
-        kappa_j = lam_j + sum_{k != j} m_k K_kj / (lam_j - lam_k),
-        K_kj = E[(u . v_k) (u . v_j)^2] - m_k (1 + lam_j + m_j^2).
-
-    K_kj is the third cumulant of u along v_k, v_j, v_j, from the
-    order-3 sums ``s3``; the sum is the turning of the eigenbasis.  The
-    factor is min(1/(-kappa_j), _NEWTON_CAP), at least 1, where
-    kappa_j < 0, and 1 elsewhere, including where two eigenvalues tie.
-    Column 0 (the tangent) is returned but not used.
-    """
-    d = lam.shape[1]
-    # E[(u . v_k)(u . v_j)^2], contracting one axis of s3 at a time
-    e3 = np.einsum("qabc,qak->qkbc", s3 / s0[:, None, None, None], vec)
-    e3 = np.einsum("qkbc,qbj->qkjc", e3, vec)
-    e3 = np.einsum("qkjc,qcj->qkj", e3, vec)
-    cumulant = e3 - m[:, :, None] * (1.0 + lam + m * m)[:, None, :]  # [q, k, j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        turn = np.where(_eye(d, bool), 0.0,
-                        m[:, :, None] * cumulant / (lam[:, None, :] - lam[:, :, None]))
-        kappa = lam + turn.sum(axis=1)
-        newton = np.clip(1.0 / np.maximum(-kappa, 1.0 / _NEWTON_CAP), 1.0, _NEWTON_CAP)
-    return np.where(kappa < 0.0, newton, 1.0)
-
-
 def _step_batch(model: KernelModel, x: np.ndarray):
-    """One Newton-scaled SCMS step for a batch of points.
+    """The plain SCMS step g = V V^T (m(x) - x) for a batch of points.
 
-    The step is -h sum_{j >= 1} v_j m_j f_j over the normal columns of
-    the frame (:func:`_normal_frame`), f the Newton factors; written as
-    a trailing-axis sum to stay off BLAS.  Returns (x_next, ok, s0): ok
-    is False for rows whose kernel sum underflowed (density numerically
-    zero), and s0 holds the raw kernel sums at x.  Bad rows are passed
-    through unchanged.
+    g is -h sum_{j >= 1} v_j m_j over the normal columns of the frame
+    (:func:`_normal_frame`), written as a trailing-axis sum to stay off
+    BLAS.  Returns (g, ok, s0): ok is False for rows whose kernel sum
+    underflowed (density numerically zero), and s0 holds the raw kernel
+    sums at x.  Every kernel term of a bad row is zero, so its step is
+    too.
     """
     h = model.bandwidth
-    s0, s1, s2, s3 = _kernel_sums(model.data.points, x, h, order=3, cells=model.cells)
+    s0, s1, s2 = _kernel_sums(model.data.points, x, h, order=2, cells=model.cells)
     ok = s0 > 0.0
-    safe = np.where(ok, s0, 1.0)
-    lam, vec, m = _normal_frame(safe, s1, s2)
-    coef = -h * (m * _newton_scale(safe, s3, lam, vec, m))[:, 1:]
-    delta = np.sum(vec[:, :, 1:] * coef[:, None, :], axis=2)
-    x_next = np.where(ok[:, None], x + delta, x)
-    return x_next, ok, s0
+    _, vec, m = _normal_frame(np.where(ok, s0, 1.0), s1, s2)
+    g = np.sum(vec[:, :, 1:] * (-h * m[:, None, 1:]), axis=2)
+    return g, ok, s0
+
+
+def _step_size(dx: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """The two-point step size of each row, from its last step and change in g.
+
+    ``dx`` (q, d) is each trajectory's last step and ``dg`` the step g
+    before it minus g now.  Returns alpha = |dx|^2 / (dx . dg) clipped to
+    [1, _STEP_CAP], and 1 where dx . dg <= 0, as on a first step with
+    dx = 0.  Each row uses only its own two vectors, summed over the
+    trailing axis.
+    """
+    curvature = np.sum(dx * dg, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = np.clip(np.sum(dx * dx, axis=1) / curvature, 1.0, _STEP_CAP)
+    return np.where(curvature > 0.0, alpha, 1.0)
 
 
 def scms_step(model: KernelModel, x) -> np.ndarray:
-    """Advance one point by a single Newton-scaled SCMS step.
+    """Advance one point by a single plain SCMS step.
 
-    Returns x - h sum_{j >= 1} v_j m_j f_j in the frame of
-    ``_normal_frame`` at x (normal eigenvectors v_j of the log-density
-    Hessian, m_j = E[u] . v_j with E[u] = (x - m(x)) / h), with one
-    Newton factor f_j in [1, 4] per column (see the module docstring).
-    Fixed points satisfy V V^T grad p(x) = 0, as for the plain SCMS step
-    x + V V^T (m(x) - x).  In d=1 the normal subspace is empty, so the
-    step is always the zero displacement.
+    Returns x + V V^T (m(x) - x) = x - h sum_{j >= 1} v_j m_j in the
+    frame of ``_normal_frame`` at x: normal eigenvectors v_j of the
+    log-density Hessian, and m_j = E[u] . v_j with E[u] = (x - m(x)) / h.
+    Fixed points satisfy V V^T grad p(x) = 0.  ``extract_ridge`` scales
+    this step by a two-point step size (see the module docstring).  In
+    d=1 the normal subspace is empty, so the step is always the zero
+    displacement.
 
     Raises :class:`DivergenceError` when the density underflows at x.
     """
-    x_next, ok, _ = _step_batch(model, _as_vector(x, model.d)[None, :])
+    x = _as_vector(x, model.d)
+    g, ok, _ = _step_batch(model, x[None, :])
     if not ok[0]:
         raise DivergenceError("density underflowed to zero at the iterate")
-    return x_next[0]
+    return x + g[0]
 
 
 def _build_mesh(data: PointCloud, cfg: ScmsConfig) -> np.ndarray:
@@ -307,12 +294,13 @@ def _build_mesh(data: PointCloud, cfg: ScmsConfig) -> np.ndarray:
 def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) -> RidgeSet:
     """Run SCMS from every mesh point and collect the converged ridge.
 
-    Each trajectory takes Newton-scaled steps (:func:`scms_step`) and
-    stops when its displacement norm drops below the tolerance or after
-    ``max_iterations`` steps.  The scaled steps converge fast near the
-    ridge, so a stopped trajectory ends close to its limit, a point
-    where the plain SCMS step vanishes too.  Only converged endpoints
-    get diagnostics; ``projected_gradient_norm`` is
+    Each trajectory moves by its SCMS step (:func:`scms_step`) scaled by
+    a two-point step size from its own last step (see the module
+    docstring), and stops when its displacement norm drops below the
+    tolerance or after ``max_iterations`` steps.  The scaled steps
+    converge fast near the ridge, so a stopped trajectory ends close to
+    its limit, a point where the plain SCMS step vanishes too.  Only
+    converged endpoints get diagnostics; ``projected_gradient_norm`` is
     |V V^T grad p| = (p/h) |m_{1:}| in the frame of ``_normal_frame``,
     since grad p = -(p/h) E[u].  A trajectory diverges
     when it reaches a point with no data in its box of sub-cells, which
@@ -337,20 +325,23 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     converged = np.zeros(nq, dtype=bool)
     iters = np.zeros(nq, dtype=int)
     active = np.arange(nq)
+    # each active trajectory's last step and the g it was taken along; none yet
+    last_dx = np.zeros_like(x)
+    last_g = np.zeros_like(x)
 
     for step in range(cfg.max_iterations):
         if active.size == 0:
             break
-        x_active = x[active]
-        x_next, ok, s0 = _step_batch(model, x_active)
+        g, ok, s0 = _step_batch(model, x[active])
         if step == 0:
             first_s0 = s0
-        disp = np.sqrt(np.sum((x_next - x_active) ** 2, axis=1))
+        dx = _step_size(last_dx, last_g - g)[:, None] * g
         iters[active] += 1
-        x[active] = x_next
-        done = ok & (disp < tol)
+        x[active] += dx
+        done = ok & (np.sqrt(np.sum(dx * dx, axis=1)) < tol)
         converged[active[done]] = True
-        active = active[ok & ~done]
+        keep = ok & ~done
+        active, last_dx, last_g = active[keep], dx[keep], g[keep]
 
     # Membership uses the plain Hessian eigenvalues, the residual the frame
     # the steps were taken in.

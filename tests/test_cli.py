@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from ridgecover import cli, load_csv
+from ridgecover import cli, load_csv, risk
 from ridgecover.cli import main
 
 
@@ -142,6 +142,16 @@ class TestRidge:
         assert rows == ["x0,x1,density,projected_gradient_norm,lambda2"]
         assert json.loads(read(out / "ridge.json"))["n_ridge_points"] == 0
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])
+    def test_unusable_tolerance_exits_2(self, ring_csv, tmp_path, capsys, tolerance):
+        # an infinite tolerance would stop every trajectory after one step
+        out = tmp_path / "ridge"
+        assert run(["ridge", "--input", ring_csv, "--h", "0.3", "--tolerance", tolerance,
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: tolerance must be positive and finite, got {float(tolerance)}"]
+        assert not out.exists()
+
     def test_grid_mesh_flag(self, ring_csv, tmp_path):
         out = tmp_path / "gridmesh"
         assert run(["ridge", "--input", ring_csv, "--h", "0.3",
@@ -155,7 +165,8 @@ class TestRidge:
         ["--h", "0.5", "--mesh", "grid:1e-9"],
         ["--h", "0.5", "--mesh", "grid:1e-320"],
         ["--h", "0.5", "--mesh", "grid:nan"],
-    ], ids=["h-underflow", "h-overflow", "grid-1e-9", "grid-1e-320", "grid-nan"])
+        ["--h", "0.5", "--mesh", "grid:"],
+    ], ids=["h-underflow", "h-overflow", "grid-1e-9", "grid-1e-320", "grid-nan", "grid-empty"])
     def test_unusable_bandwidth_or_mesh_exits_2(self, three_point_csv, tmp_path,
                                                 capsys, flags):
         out = tmp_path / "ridge"
@@ -165,6 +176,8 @@ class TestRidge:
         assert "error:" in err
         if "grid:nan" in flags:
             assert "grid_resolution" in err
+        if "grid:" in flags:
+            assert err.splitlines() == ["error: --mesh grid:<res> needs a number, got 'grid:'"]
         assert not out.exists()
 
 
@@ -319,6 +332,20 @@ class TestSelect:
                     "--emit-ridge", "--output-dir", out]) == 0
         assert read(out / "ridge.csv") == read(ref / "ridge.csv")
         assert json.loads(read(out / "ridge.json"))["h"] == 0.25
+
+    def test_oversized_replicates_exit_2(self, ring_csv, tmp_path, capsys, monkeypatch):
+        # rejected before any fit: Generator.spawn would overflow on this count
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a ridge was fitted")
+
+        monkeypatch.setattr(risk, "extract_ridge", no_fit)
+        out = tmp_path / "sel"
+        count = "99999999999999999999"
+        assert run(["select", "--input", ring_csv, "--method", "bootstrap",
+                    "--replicates", count, "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: replicates must be >= 1 and <= 10000, got {count}"]
+        assert not out.exists()
 
     def test_bootstrap_method(self, ring_csv, tmp_path):
         out = tmp_path / "boot"
@@ -495,3 +522,6 @@ class TestParsing:
         assert _parse_mesh("grid:0.25") == ("grid", 0.25)
         with pytest.raises(ValueError):
             _parse_mesh("voronoi")
+        for text in ("grid:", "grid:fine"):
+            with pytest.raises(ValueError, match="--mesh grid:<res> needs a number"):
+                _parse_mesh(text)

@@ -325,7 +325,7 @@ class TestKernelModel:
 
 
 def truncation_bounds(n):
-    """Largest |truncated - dense| allowed for s0 to s3 at n points.
+    """Largest |truncated - dense| allowed for s0 to s2 at n points.
 
     Leftover terms have |u| > c on some axis; every term is at most 1
     in magnitude, so both sums also carry up to about log2(n) eps n of
@@ -333,12 +333,12 @@ def truncation_bounds(n):
     """
     tail = n * math.exp(-0.5 * _CUTOFF**2)
     roundoff = 64 * np.finfo(float).eps * n
-    return [tail * _CUTOFF**k + roundoff for k in range(4)]
+    return [tail * _CUTOFF**k + roundoff for k in range(3)]
 
 
 def assert_within_truncation_bound(points, queries, h):
-    got = _kernel_sums(points, queries, h, order=3)
-    ref = _dense_sums(points, queries, h, order=3)
+    got = _kernel_sums(points, queries, h, order=2)
+    ref = _dense_sums(points, queries, h, order=2)
     for k, (a, b, bound) in enumerate(zip(got, ref, truncation_bounds(len(points)))):
         assert np.abs(a - b).max() <= bound, f"s{k}"
 
@@ -442,7 +442,7 @@ class TestTruncatedSums:
                 for a in range(1, d):
                     sq = sq + u[..., a] * u[..., a]
                 w = np.exp(-0.5 * sq)
-                s0, s1, s2, s3 = _dense_sums(pts, queries, h, order=3)
+                s0, s1, s2 = _dense_sums(pts, queries, h, order=2)
                 np.testing.assert_array_equal(s0, np.sum(w, axis=-1))
                 for a in range(d):
                     np.testing.assert_array_equal(s1[:, a], np.sum(w * u[..., a], axis=-1))
@@ -450,10 +450,6 @@ class TestTruncatedSums:
                         v = np.sum(w * u[..., a] * u[..., b], axis=-1)
                         np.testing.assert_array_equal(s2[:, a, b], v)
                         np.testing.assert_array_equal(s2[:, b, a], v)
-                        for c in range(b, d):
-                            v = np.sum(w * u[..., a] * u[..., b] * u[..., c], axis=-1)
-                            for i, j, k in itertools.permutations((a, b, c)):
-                                np.testing.assert_array_equal(s3[:, i, j, k], v)
 
     def test_whole_call_dense_bit_identical(self):
         rng = np.random.default_rng(103)
@@ -462,7 +458,7 @@ class TestTruncatedSums:
             pts = rng.uniform(0.0, 1.4, (200, d))
             queries = rng.uniform(-3.0, 5.0, (150, d))
             assert _Cells.build(pts, 0.1) is None
-            for order in (0, 1, 2, 3):
+            for order in (0, 1, 2):
                 got = _kernel_sums(pts, queries, 0.1, order)
                 for a, b in zip(got, _dense_sums(pts, queries, 0.1, order)):
                     np.testing.assert_array_equal(a, b)
@@ -499,7 +495,7 @@ class TestTruncatedSums:
             total = count.sum(axis=1)
             assert total[0] > _PAIR_BLOCK and (total[2::2] > 0).all()
             assert not total[1::2].any()
-            for order in (0, 1, 2, 3):
+            for order in (0, 1, 2):
                 got = _kernel_sums(pts, queries, h, order)
                 for i in range(len(queries)):
                     row = _kernel_sums(pts, queries[i:i + 1], h, order)

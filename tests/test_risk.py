@@ -235,6 +235,27 @@ class TestSelectBandwidth:
         b = select_bandwidth(cloud, grid, rng=np.random.default_rng(42))
         assert a == b
 
+    @pytest.mark.parametrize("c", [4.0, 1 / 8, 3.0])
+    def test_scaling_the_data_scales_the_selection(self, c):
+        """Scaling the data by c scales h_bar and the default grid by c,
+        risk1 by c and risk2 by c^2, and keeps the argmin grid index.
+
+        ``np.geomspace`` does not scale exactly, so the grids differ in
+        their last bits: values are compared relative, not bit for bit.
+        """
+        cloud, _ = generate(SyntheticSpec("spiral", n=300, seed=5))
+        a = select_bandwidth(cloud, rng=np.random.default_rng(6), workers=1)
+        b = select_bandwidth(PointCloud(cloud.points * c), rng=np.random.default_rng(6),
+                             workers=1)
+        index = [e.h for e in a.entries].index(a.h_star)
+        assert [e.h for e in b.entries].index(b.h_star) == index
+        for name, power in (("h", 1), ("risk1", 1), ("risk2", 2)):
+            va = np.array([getattr(e, name) for e in a.entries])
+            vb = np.array([getattr(e, name) for e in b.entries])
+            assert np.isfinite(va).sum() >= 6
+            np.testing.assert_array_equal(np.isfinite(vb), np.isfinite(va))
+            np.testing.assert_allclose(vb, va * c**power, rtol=1e-9)
+
     def test_all_infinite_risk_rejected(self):
         # two far clusters of coincident points: at every grid h each
         # half-sample ridge is empty (tied eigenvalues at both modes)

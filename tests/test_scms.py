@@ -23,7 +23,7 @@ from ridgecover import (
 )
 import ridgecover.scms as scms_module
 from ridgecover.kde import _CUTOFF, _Cells, _kernel_sums
-from ridgecover.scms import _newton_scale, _normal_frame, _step_batch
+from ridgecover.scms import _STEP_CAP, _step_batch, _step_size
 
 
 def ring_cloud(seed=7, n=2000, radius=2.0, sigma=0.2):
@@ -31,6 +31,29 @@ def ring_cloud(seed=7, n=2000, radius=2.0, sigma=0.2):
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
     return PointCloud(pts + sigma * rng.standard_normal((n, 2)))
+
+
+def scms_trajectories(model, mesh, tol, max_iterations=ScmsConfig().max_iterations):
+    """SCMS from every row of ``mesh``, each row carrying its own last step
+    and the g it was taken along, as in extract_ridge; returns (endpoints,
+    steps taken, converged).  A mesh of one row runs a trajectory alone."""
+    x = np.array(mesh, dtype=float)
+    steps = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    last_dx, last_g = np.zeros_like(x), np.zeros_like(x)
+    active = np.arange(len(x))
+    for _ in range(max_iterations):
+        if active.size == 0:
+            break
+        g, ok, _ = _step_batch(model, x[active])
+        dx = _step_size(last_dx, last_g - g)[:, None] * g
+        x[active] += dx
+        steps[active] += 1
+        done = ok & (np.sqrt(np.sum(dx * dx, axis=1)) < tol)
+        converged[active[done]] = True
+        keep = ok & ~done
+        active, last_dx, last_g = active[keep], dx[keep], g[keep]
+    return x, steps, converged
 
 
 def circle_mesh(radius=2.0, m=720):
@@ -91,7 +114,20 @@ class TestScmsStep:
         batch, ok, _ = _step_batch(model, xs)
         assert ok.all()
         for i in range(30):
-            np.testing.assert_array_equal(scms_step(model, xs[i]), batch[i])
+            np.testing.assert_array_equal(_step_batch(model, xs[i:i + 1])[0][0], batch[i])
+            np.testing.assert_array_equal(scms_step(model, xs[i]), xs[i] + batch[i])
+
+    def test_step_size_is_the_two_point_rule(self):
+        # rows: a first step (no last step), a secant inside [1, cap], a
+        # negative and a zero curvature, and secants below 1 and above the cap
+        dx = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                       [1.0, 1.0]])
+        dg = np.array([[0.0, 0.0], [0.5, 3.0], [-0.5, 0.0], [1.0, 0.0], [2.0, 0.0],
+                       [0.1, 0.1]])
+        alpha = _step_size(dx, dg)
+        np.testing.assert_array_equal(alpha, [1.0, 2.0, 1.0, 1.0, 1.0, _STEP_CAP])
+        for i in range(len(dx)):
+            np.testing.assert_array_equal(_step_size(dx[i:i + 1], dg[i:i + 1]), alpha[i:i + 1])
 
 
 class TestExtractRidge:
@@ -210,23 +246,12 @@ class TestExtractRidge:
         # retained positions appear in mesh (= data) order
         cloud = ring_cloud(n=200)
         ridge = extract_ridge(cloud, 0.3)
-        x0, ok = cloud.points.copy(), []
         model = KernelModel(cloud, 0.3)
-        # re-run the published single-step op from each data point until
+        # run a trajectory on its own from each data point until
         # convergence, collecting final positions in mesh order
-        cfg = ScmsConfig()
-        tol = cfg.resolved_tolerance(0.3)
-        finals = []
-        for i in range(cloud.n):
-            x = x0[i]
-            for _ in range(cfg.max_iterations):
-                x_new = scms_step(model, x)
-                done = np.linalg.norm(x_new - x) < tol
-                x = x_new
-                if done:
-                    break
-            finals.append(x)
-        finals = np.array(finals)
+        tol = ScmsConfig().resolved_tolerance(0.3)
+        finals = np.array([scms_trajectories(model, cloud.points[i:i + 1], tol)[0][0]
+                           for i in range(cloud.n)])
         # every retained ridge position must be one of the sequentially
         # computed endpoints, in order
         idx = 0
@@ -273,7 +298,7 @@ class TestExtractRidgeConsistency:
             del orders[:]
             ridge = extract_ridge(cloud, h, cfg)
             assert orders.count(0) == (cfg.mesh == "grid")
-            assert set(orders) - {0} == {2, 3}
+            assert set(orders) - {0} == {2}
             model = KernelModel(cloud, h)
             peak = density(model, cloud.points).max()
             assert ridge.density_threshold >= cfg.density_threshold_fraction * peak
@@ -282,62 +307,30 @@ class TestExtractRidgeConsistency:
                 sums(cloud.points, cloud.points, h, 0, cells=model.cells)[0])
 
     def test_endpoints_match_scms_step_loop_bitwise(self):
-        # With no density threshold every converged trajectory on this
-        # ring is retained, so the whole batch output can be compared.
+        # Each trajectory run on its own, with its own step-size state,
+        # ends bit for bit where its row of the batched extract_ridge
+        # does (criterion 9).  With no density threshold every converged
+        # trajectory on this ring is retained, so the whole batch output
+        # can be compared.
         cloud = ring_cloud(seed=11, n=60)
         cfg = ScmsConfig(density_threshold_fraction=0.0)
         for h in (0.1, 0.3):
             ridge = extract_ridge(cloud, h, cfg)
             model = KernelModel(cloud, h)
             tol = cfg.resolved_tolerance(h)
-            finals, iters, converged = [], [], []
-            for x in cloud.points:
-                done = False
-                for it in range(1, cfg.max_iterations + 1):
-                    x_new = scms_step(model, x)
-                    done = np.sqrt(np.sum((x_new - x) ** 2)) < tol
-                    x = x_new
-                    if done:
-                        break
-                finals.append(x)
-                iters.append(it)
-                converged.append(done)
-            converged = np.array(converged)
+            lone = [scms_trajectories(model, cloud.points[i:i + 1], tol, cfg.max_iterations)
+                    for i in range(cloud.n)]
+            finals, iters, converged = (np.concatenate(col) for col in zip(*lone))
+            assert (iters > 2).any()  # so steps after the first had a step size
             assert converged.sum() == len(ridge) > 0
-            np.testing.assert_array_equal(ridge.positions, np.array(finals)[converged])
-            np.testing.assert_array_equal(ridge.iterations, np.array(iters)[converged])
-
-    def test_newton_factor_inverts_the_normal_slope(self):
-        # Where the factor is not clipped it is -1/kappa, kappa the rate
-        # at which the normal coefficient v . (m(x) - x) changes along v,
-        # turning of the eigenbasis included: check against differences.
-        cloud = ring_cloud(n=600)
-        for h in (0.1, 0.25):
-            model = KernelModel(cloud, h)
-
-            def parts(x):
-                s0, s1, s2, s3 = _kernel_sums(cloud.points, x, h, 3, cells=model.cells)
-                lam, vec, m = _normal_frame(s0, s1, s2)
-                return -h * s1 / s0[:, None], lam, vec, _newton_scale(s0, s3, lam, vec, m)
-
-            shift, _, vec, scale = parts(cloud.points)
-            v = vec[:, :, 1]
-            inside = (scale[:, 1] > 1.01) & (scale[:, 1] < 3.99)
-            assert inside.sum() > 50
-            eps = 1e-5 * h
-            coefs = []
-            for x in (cloud.points + eps * v, cloud.points - eps * v):
-                shift_x, _, vec_x, _ = parts(x)
-                normal = vec_x[:, :, 1] * np.sign(np.sum(vec_x[:, :, 1] * v, axis=1))[:, None]
-                coefs.append(np.sum(shift_x * normal, axis=1))
-            slope = (coefs[0] - coefs[1]) / (2 * eps)
-            np.testing.assert_allclose(slope[inside], -1.0 / scale[inside, 1], atol=1e-4)
+            np.testing.assert_array_equal(ridge.positions, finals[converged])
+            np.testing.assert_array_equal(ridge.iterations, iters[converged])
 
     def test_endpoints_are_fixed_points_of_the_step(self):
-        # A scaled step only stretches the normal coefficients of the
-        # SCMS step, so both vanish at the same points: from a tightly
-        # converged endpoint, neither the step nor the plain SCMS step
-        # h^2 |V V^T grad p| / p moves further than the default tolerance.
+        # A step size of at least 1 only stretches the plain SCMS step,
+        # so both vanish at the same points: from a tightly converged
+        # endpoint, the plain SCMS step, also h^2 |V V^T grad p| / p,
+        # moves less than the default tolerance.
         cloud = ring_cloud(n=600)
         for h in (0.1, 0.25):
             model = KernelModel(cloud, h)
@@ -357,20 +350,9 @@ class TestExtractRidgeConsistency:
         h = 0.1
         model = KernelModel(cloud, h)
 
-        def endpoints(tol):
-            x = cloud.points.copy()
-            converged = np.zeros(cloud.n, dtype=bool)
-            active = np.arange(cloud.n)
-            for _ in range(ScmsConfig().max_iterations):
-                x_next, ok, _ = _step_batch(model, x[active])
-                done = ok & (np.sqrt(np.sum((x_next - x[active]) ** 2, axis=1)) < tol)
-                x[active] = x_next
-                converged[active[done]] = True
-                active = active[ok & ~done]
-            return x, converged
-
-        loose, loose_done = endpoints(ScmsConfig().resolved_tolerance(h))
-        tight, tight_done = endpoints(1e-10 * h)
+        loose, _, loose_done = scms_trajectories(model, cloud.points,
+                                                 ScmsConfig().resolved_tolerance(h))
+        tight, _, tight_done = scms_trajectories(model, cloud.points, 1e-10 * h)
         # the loop is extract_ridge's: with no density threshold its
         # retained points are among these converged endpoints
         ridge = extract_ridge(cloud, h, ScmsConfig(density_threshold_fraction=0.0))
@@ -413,6 +395,11 @@ class TestScmsConfig:
                 ScmsConfig(mesh="grid", grid_resolution=res)
         with pytest.raises(ValueError):
             ScmsConfig(density_threshold_fraction=1.5)
+
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1e-6])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            ScmsConfig(tolerance=tolerance)
 
     def test_default_tolerance_scales_with_bandwidth(self):
         cfg = ScmsConfig()
