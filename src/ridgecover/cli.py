@@ -197,6 +197,8 @@ def cmd_ridge(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     if args.input is None:
         raise ValueError("select requires --input")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     cloud = _load_cloud(args.input, args.columns)
     grid = None if args.grid is None else _parse_span(args.grid, "--grid")
     cfg = _scms_config(args)

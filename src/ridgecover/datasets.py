@@ -49,7 +49,7 @@ class SyntheticSpec:
     ``noise_sigma=None`` resolves to 5% of the largest coordinate range
     of the ground-truth curve.  ``params`` overrides the per-kind curve
     parameters (spiral ``pitch``, circle ``radius``, helix ``radius`` and
-    ``pitch``).
+    ``pitch``).  ``seed`` must be a nonnegative integer.
     """
 
     kind: str
@@ -64,6 +64,8 @@ class SyntheticSpec:
         if int(self.n) < 1:
             raise ValueError("n must be >= 1")
         object.__setattr__(self, "n", int(self.n))
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.noise_sigma is not None and not 0.0 <= float(self.noise_sigma) < math.inf:
             raise ValueError("noise_sigma must be nonnegative and finite, "
                              f"got {self.noise_sigma}")
@@ -194,7 +196,8 @@ def load_csv(path, columns: tuple[str, str] | list[str] | None = None) -> PointC
     """Read a point cloud from CSV.
 
     A non-numeric first row is treated as a header.  ``columns`` selects
-    named columns (requires a header); by default all columns are used.
+    named columns, each at most once (requires a header); by default all
+    columns are used.
     Rows with missing or non-finite values are skipped; one warning
     reports how many were dropped.  Zero valid rows is an error.
     """
@@ -210,6 +213,9 @@ def load_csv(path, columns: tuple[str, str] | list[str] | None = None) -> PointC
 
     if columns is not None:
         names = list(columns)
+        repeated = sorted({c for c in names if names.count(c) > 1})
+        if repeated:
+            raise ValueError(f"{path}: columns named more than once: {repeated}")
         if header is None:
             raise ValueError(f"{path}: no header row, cannot select columns {names}")
         missing = [c for c in names if c not in header]

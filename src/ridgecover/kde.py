@@ -89,10 +89,12 @@ _LOOKUP_ROWS = 256
 # candidate.  Waiting for 6 or 7 sub-cells (7 was the earlier rule) left
 # 1200-point helices at h = 0.12 and 0.15 split on z alone, with 62-73%
 # of all pairs in the boxes instead of 28-43%, and their kernel sums of
-# the data at the data, then up to third moments, took 1.5-1.8x as long
-# (CPU time, 2 cores).  A smaller value would send more wide-bandwidth
-# fits to the cells path, where 750-point spiral halves at h = 0.29-0.38
-# already run their whole SCMS fit 1.09-1.27x slower than dense.
+# the data at the data, up to third moments, took 1.5-1.8x as long (CPU
+# time, 2 cores).  That was timed while the SCMS step still summed third
+# moments; it sums to second order now and was not timed again.  A
+# smaller value would send more wide-bandwidth fits to the cells path,
+# where 750-point spiral halves at h = 0.29-0.38 already run their whole
+# SCMS fit 1.09-1.27x slower than dense.
 _SPLIT_SUBCELLS = 5
 
 

@@ -2,13 +2,12 @@
 
 Mesh points are iterated along the mean-shift displacement projected
 onto the local normal subspace until they land on a ridge of the kernel
-density estimate.  The step and the endpoint diagnostics both work in
-one frame per point, built by ``_normal_frame`` from the raw kernel
-sums of :mod:`ridgecover.kde`: the eigenpairs lam_k, v_k of
-h^2 grad grad log p (the local inverse covariance), descending and
-numbered from 0, and the coefficients m_k = E[u] . v_k of the mean
-kernel offset u = (x - X_i) / h.  The mean-shift displacement is
-m(x) - x = -h E[u] = h^2 grad log p.  The normal subspace is spanned
+density estimate.  Each step works in one frame per point, built by
+``_step_batch`` from the raw kernel sums of :mod:`ridgecover.kde`: the
+eigenvectors v_k of h^2 grad grad log p (the local inverse covariance),
+numbered from 0 by descending eigenvalue, and the coefficients
+m_k = E[u] . v_k of the mean kernel offset u = (x - X_i) / h.  The
+mean-shift displacement is m(x) - x = -h E[u] = h^2 grad log p.  The normal subspace is spanned
 by v_1..v_{d-1}, the convention of the original algorithm: it sends
 points sitting on the outer slopes of a filament inward instead of
 leaving them stranded on spurious transverse crests.  Ridge membership
@@ -30,6 +29,10 @@ Newton step, and the measured change takes in the turning of the
 eigenbasis too.  alpha is never below 1 and never 0, so the fixed
 points, V V^T grad p = 0, are those of plain SCMS; only which point of
 the ridge a trajectory ends on changes.
+
+A trajectory stops at its last evaluated iterate, the first whose scaled
+step falls below the tolerance, and takes its diagnostics from the sums
+made there: |V V^T grad p| = p |g| / h^2, as g = h^2 V V^T grad p / p.
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ _STEP_CAP = 8.0
 # kernel terms, and a larger grid would not finish in useful time.
 # Memory grows with the mesh too, since each step holds the iterates,
 # their kernel sums and Hessian eigenvectors for the whole active mesh
-# (only the box lookups are bounded, by kde._LOOKUP_ROWS).  The check
-# runs before the mesh is allocated.
+# (only the box lookups are bounded, by kde._LOOKUP_ROWS), and the fit
+# stores the raw d x d Hessian sums of every mesh point's last evaluated
+# iterate.  The check runs before the mesh is allocated.
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -130,8 +134,9 @@ class ScmsConfig:
 class RidgeSet:
     """Retained ridge points: the discretized ridge estimate.
 
-    Row i of ``positions`` (k, d) is a converged SCMS endpoint, in mesh
-    order; ``density``, ``projected_gradient_norm``, ``lambda2`` and
+    Row i of ``positions`` (k, d) is the last evaluated iterate of a
+    converged SCMS trajectory, in mesh order; ``density``,
+    ``projected_gradient_norm`` (p |g| / h^2 there), ``lambda2`` and
     ``iterations`` hold its diagnostics as length-k arrays.  Every
     retained point has a negative second Hessian eigenvalue and density
     >= ``density_threshold`` (an absolute value, already scaled from the
@@ -194,45 +199,31 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
-def _normal_frame(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray):
-    """The SCMS frame at each query, from raw kernel sums: (lam, vec, m).
+def _step_batch(model: KernelModel, x: np.ndarray):
+    """The plain SCMS step g = V V^T (m(x) - x) for a batch of points.
 
     With u = (x - X_i) / h and E the mean over the kernel weights,
     h^2 grad grad log p = E[u u^T] - I - E[u] E[u]^T, a weighted
     covariance of the bounded kernel offsets minus I, so it stays well
-    conditioned even where the density is close to underflow and its
-    eigenvalues are >= -1.  ``lam`` (q, d) holds them descending, the
-    columns of ``vec`` (q, d, d) the matching eigenvectors, and
-    m_k = E[u] . v_k, so the mean-shift step m(x) - x = -h E[u] has
-    coefficient -h m_k along v_k.  Eigenvector signs are left as
-    ``eigh`` returns them: every use takes an even number of factors
-    v_k, so flipping one changes no result, not even by rounding.
-    """
-    d = s1.shape[1]
-    mu = s1 / s0[:, None]
-    mat = s2 / s0[:, None, None] - _eye(d) - mu[:, :, None] * mu[:, None, :]
-    lam, vec = np.linalg.eigh(mat)  # ascending
-    lam = np.ascontiguousarray(lam[:, ::-1])
-    vec = np.ascontiguousarray(vec[:, :, ::-1])
-    return lam, vec, np.einsum("qa,qak->qk", mu, vec)
-
-
-def _step_batch(model: KernelModel, x: np.ndarray):
-    """The plain SCMS step g = V V^T (m(x) - x) for a batch of points.
-
-    g is -h sum_{j >= 1} v_j m_j over the normal columns of the frame
-    (:func:`_normal_frame`), written as a trailing-axis sum to stay off
-    BLAS.  Returns (g, ok, s0): ok is False for rows whose kernel sum
-    underflowed (density numerically zero), and s0 holds the raw kernel
-    sums at x.  Every kernel term of a bad row is zero, so its step is
-    too.
+    conditioned even where the density is close to underflow.  With its
+    eigenvectors v_k (see the module docstring),
+    g = -h sum_{j >= 1} v_j m_j, written as a trailing-axis sum to stay
+    off BLAS.  Eigenvector signs are left as ``eigh`` returns them: g
+    takes each v_j twice, so flipping one changes no result, not even by
+    rounding.  Returns (g, ok, s0, s2): ok is False for rows whose kernel
+    sum underflowed (density numerically zero), where g is exactly 0,
+    and s0 and s2 are the raw kernel sums at x.
     """
     h = model.bandwidth
     s0, s1, s2 = _kernel_sums(model.data.points, x, h, order=2, cells=model.cells)
     ok = s0 > 0.0
-    _, vec, m = _normal_frame(np.where(ok, s0, 1.0), s1, s2)
+    safe = np.where(ok, s0, 1.0)
+    mu = s1 / safe[:, None]
+    mat = s2 / safe[:, None, None] - _eye(x.shape[1]) - mu[:, :, None] * mu[:, None, :]
+    vec = np.ascontiguousarray(np.linalg.eigh(mat)[1][:, :, ::-1])  # descending
+    m = np.einsum("qa,qak->qk", mu, vec)
     g = np.sum(vec[:, :, 1:] * (-h * m[:, None, 1:]), axis=2)
-    return g, ok, s0
+    return g, ok, s0, s2
 
 
 def _step_size(dx: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -254,7 +245,7 @@ def scms_step(model: KernelModel, x) -> np.ndarray:
     """Advance one point by a single plain SCMS step.
 
     Returns x + V V^T (m(x) - x) = x - h sum_{j >= 1} v_j m_j in the
-    frame of ``_normal_frame`` at x: normal eigenvectors v_j of the
+    frame of ``_step_batch`` at x: normal eigenvectors v_j of the
     log-density Hessian, and m_j = E[u] . v_j with E[u] = (x - m(x)) / h.
     Fixed points satisfy V V^T grad p(x) = 0.  ``extract_ridge`` scales
     this step by a two-point step size (see the module docstring).  In
@@ -264,7 +255,7 @@ def scms_step(model: KernelModel, x) -> np.ndarray:
     Raises :class:`DivergenceError` when the density underflows at x.
     """
     x = _as_vector(x, model.d)
-    g, ok, _ = _step_batch(model, x[None, :])
+    g, ok = _step_batch(model, x[None, :])[:2]
     if not ok[0]:
         raise DivergenceError("density underflowed to zero at the iterate")
     return x + g[0]
@@ -296,13 +287,14 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
 
     Each trajectory moves by its SCMS step (:func:`scms_step`) scaled by
     a two-point step size from its own last step (see the module
-    docstring), and stops when its displacement norm drops below the
-    tolerance or after ``max_iterations`` steps.  The scaled steps
+    docstring).  It stops at its last evaluated iterate, the first whose
+    scaled step is shorter than the tolerance, without taking that step,
+    or gives up after ``max_iterations`` evaluations.  The scaled steps
     converge fast near the ridge, so a stopped trajectory ends close to
     its limit, a point where the plain SCMS step vanishes too.  Only
-    converged endpoints get diagnostics; ``projected_gradient_norm`` is
-    |V V^T grad p| = (p/h) |m_{1:}| in the frame of ``_normal_frame``,
-    since grad p = -(p/h) E[u].  A trajectory diverges
+    converged trajectories get diagnostics, from the sums at their last
+    evaluated iterate: density from s0, lambda2 from s2 - s0 I and
+    ``projected_gradient_norm`` p |g| / h^2.  A trajectory diverges
     when it reaches a point with no data in its box of sub-cells, which
     reaches between 7.4*h and 11.1*h from it along each axis; there the
     truncated kernel sum is exactly zero.  Diverged and non-converged
@@ -324,6 +316,8 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
 
     converged = np.zeros(nq, dtype=bool)
     iters = np.zeros(nq, dtype=int)
+    # s0, |g| and s2 at each stopped trajectory's last evaluated iterate
+    end_s0, end_g, end_s2 = np.zeros(nq), np.zeros(nq), np.zeros((nq, data.d, data.d))
     active = np.arange(nq)
     # each active trajectory's last step and the g it was taken along; none yet
     last_dx = np.zeros_like(x)
@@ -332,27 +326,29 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     for step in range(cfg.max_iterations):
         if active.size == 0:
             break
-        g, ok, s0 = _step_batch(model, x[active])
+        g, ok, s0, s2 = _step_batch(model, x[active])
         if step == 0:
             first_s0 = s0
         dx = _step_size(last_dx, last_g - g)[:, None] * g
         iters[active] += 1
-        x[active] += dx
         done = ok & (np.sqrt(np.sum(dx * dx, axis=1)) < tol)
-        converged[active[done]] = True
+        stopped = active[done]
+        converged[stopped] = True
+        end_s0[stopped], end_s2[stopped] = s0[done], s2[done]
+        end_g[stopped] = np.sqrt(np.sum(g[done] * g[done], axis=1))
         keep = ok & ~done
         active, last_dx, last_g = active[keep], dx[keep], g[keep]
+        x[active] += last_dx
 
     # Membership uses the plain Hessian eigenvalues, the residual the frame
     # the steps were taken in.
     x = x[converged]
     iters = iters[converged]
-    s0, s1, s2 = _kernel_sums(data.points, x, h, order=2, cells=model.cells)
+    s0, s2 = end_s0[converged], end_s2[converged]
     norm = _norm_const(data.n, data.d, h)
     dens = s0 * norm
     lam = np.linalg.eigvalsh(s2 - s0[:, None, None] * _eye(data.d))[:, ::-1] * (norm / h**2)
-    _, _, m = _normal_frame(np.where(s0 > 0.0, s0, 1.0), s1, s2)
-    pg_norm = dens / h * np.sqrt(np.sum(m[:, 1:] ** 2, axis=1))
+    pg_norm = dens / h**2 * end_g[converged]
     # In d=1 there is no second eigenvalue; the only one plays its role,
     # so a retained point need only have p'' < 0.  The step is zero there,
     # so endpoints are not moved to the modes.

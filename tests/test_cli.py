@@ -90,6 +90,35 @@ class TestGen:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert run(["gen", "--kind", "spiral", "--seed", "-5", "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be >= 0, got -5"]
+        assert not out.exists()
+
+
+class TestRepeatedColumns:
+    @pytest.mark.parametrize("command", [
+        ["ridge", "--h", "0.5"],
+        ["select", "--grid", "0.3:0.6:2"],
+    ])
+    def test_fits_exit_2(self, three_point_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run([*command, "--input", three_point_csv, "--columns", "x0,x0",
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "['x0']" in err[0]
+        assert not out.exists()
+
+    def test_compare_exits_2(self, three_point_csv, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert run(["compare", three_point_csv, three_point_csv, "--columns", "x1,x0,x1",
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "['x1']" in err[0]
+        assert not out.exists()
+
 
 class TestRidge:
     def test_ring_ridge_near_circle(self, ring_csv, tmp_path):
@@ -253,6 +282,14 @@ class TestSelect:
         assert meta["h_star_at_grid_edge"] == "largest"
         err = capsys.readouterr().err
         assert f"warning: h_star={meta['h_star']} is the largest bandwidth" in err
+
+    def test_negative_seed_exits_2_naming_the_seed(self, three_point_csv, tmp_path, capsys):
+        out = tmp_path / "sel"
+        assert run(["select", "--input", three_point_csv, "--seed", "-1",
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --seed must be >= 0, got -1"]
+        assert not out.exists()
 
     def test_split_on_three_rows_exits_2(self, three_point_csv, tmp_path, capsys):
         out = tmp_path / "sel"

@@ -25,6 +25,10 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(kind="spiral", noise_sigma=-0.1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            SyntheticSpec(kind="spiral", seed=-5)
+
     def test_rejects_unknown_params(self):
         with pytest.raises(ValueError, match="radius"):
             SyntheticSpec(kind="spiral", params={"radius": 1.0})
@@ -175,6 +179,12 @@ class TestLoadCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="not found"):
             load_csv(path, columns=("a", "zz"))
+
+    def test_repeated_column_is_error(self, tmp_path):
+        path = tmp_path / "cols.csv"
+        path.write_text("a,b\n1,2\n3,4\n")
+        with pytest.raises(ValueError, match=r"named more than once: \['a'\]"):
+            load_csv(path, columns=("a", "b", "a"))
 
     def test_columns_without_header_is_error(self, tmp_path):
         path = tmp_path / "nohdr.csv"

@@ -35,8 +35,10 @@ def ring_cloud(seed=7, n=2000, radius=2.0, sigma=0.2):
 
 def scms_trajectories(model, mesh, tol, max_iterations=ScmsConfig().max_iterations):
     """SCMS from every row of ``mesh``, each row carrying its own last step
-    and the g it was taken along, as in extract_ridge; returns (endpoints,
-    steps taken, converged).  A mesh of one row runs a trajectory alone."""
+    and the g it was taken along, as in extract_ridge; returns (last
+    evaluated iterates, iterates evaluated, converged).  A row stops where
+    its step falls below ``tol`` without taking it.  A mesh of one row
+    runs a trajectory alone."""
     x = np.array(mesh, dtype=float)
     steps = np.zeros(len(x), dtype=int)
     converged = np.zeros(len(x), dtype=bool)
@@ -45,14 +47,14 @@ def scms_trajectories(model, mesh, tol, max_iterations=ScmsConfig().max_iteratio
     for _ in range(max_iterations):
         if active.size == 0:
             break
-        g, ok, _ = _step_batch(model, x[active])
+        g, ok, _, _ = _step_batch(model, x[active])
         dx = _step_size(last_dx, last_g - g)[:, None] * g
-        x[active] += dx
         steps[active] += 1
         done = ok & (np.sqrt(np.sum(dx * dx, axis=1)) < tol)
         converged[active[done]] = True
         keep = ok & ~done
         active, last_dx, last_g = active[keep], dx[keep], g[keep]
+        x[active] += last_dx
     return x, steps, converged
 
 
@@ -111,7 +113,7 @@ class TestScmsStep:
         rng = np.random.default_rng(2)
         model = KernelModel(PointCloud(rng.standard_normal((40, 2))), 0.5)
         xs = rng.standard_normal((30, 2))
-        batch, ok, _ = _step_batch(model, xs)
+        batch, ok, _, _ = _step_batch(model, xs)
         assert ok.all()
         for i in range(30):
             np.testing.assert_array_equal(_step_batch(model, xs[i:i + 1])[0][0], batch[i])
@@ -305,6 +307,51 @@ class TestExtractRidgeConsistency:
             np.testing.assert_array_equal(
                 _step_batch(model, cloud.points)[2],
                 sums(cloud.points, cloud.points, h, 0, cells=model.cells)[0])
+
+    def test_one_order_two_sum_per_step_batch(self, monkeypatch):
+        # A stopped trajectory's diagnostics come from the sums of its last
+        # evaluated iterate, so past the loop the only kernel sum left is the grid
+        # mesh's order-0 pass over the data.
+        orders, batches = [], []
+        sums, step_batch = scms_module._kernel_sums, scms_module._step_batch
+
+        def recording(points, queries, h, order, **kwargs):
+            orders.append(order)
+            return sums(points, queries, h, order, **kwargs)
+
+        def counting(model, x):
+            batches.append(len(x))
+            return step_batch(model, x)
+
+        monkeypatch.setattr(scms_module, "_kernel_sums", recording)
+        monkeypatch.setattr(scms_module, "_step_batch", counting)
+        cloud = ring_cloud(n=300)
+        for cfg in (ScmsConfig(), ScmsConfig(mesh="grid", grid_resolution=0.5)):
+            for h in (0.1, 0.4):  # truncated and dense sums
+                del orders[:], batches[:]
+                ridge = extract_ridge(cloud, h, cfg)
+                assert len(ridge) > 0 and len(batches) > 1
+                assert orders.count(2) == len(batches)
+                assert orders.count(0) == (cfg.mesh == "grid")
+                assert len(orders) == orders.count(2) + orders.count(0)
+
+    def test_diagnostics_are_those_of_the_last_evaluated_iterate(self):
+        # The density and p |g| / h^2 are, bit for bit, what the kernel
+        # sums give at the retained positions themselves.
+        ring, (helix, _) = ring_cloud(n=400), generate(SyntheticSpec("helix", n=400, seed=2))
+        fits = [(ring, 0.1, ScmsConfig()), (ring, 0.4, ScmsConfig()),
+                (ring, 0.2, ScmsConfig(mesh="grid", grid_resolution=0.5)),
+                (helix, 0.15, ScmsConfig())]
+        for cloud, h, cfg in fits:
+            ridge = extract_ridge(cloud, h, cfg)
+            model = KernelModel(cloud, h)
+            assert len(ridge) > 0
+            np.testing.assert_array_equal(ridge.density, density(model, ridge.positions))
+            g = _step_batch(model, ridge.positions)[0]
+            np.testing.assert_array_equal(ridge.projected_gradient_norm,
+                                          ridge.density / h**2 * np.sqrt(np.sum(g * g, axis=1)))
+            lam = np.linalg.eigvalsh(hessian(model, ridge.positions))
+            np.testing.assert_allclose(ridge.lambda2, lam[:, -2], rtol=1e-9)
 
     def test_endpoints_match_scms_step_loop_bitwise(self):
         # Each trajectory run on its own, with its own step-size state,
