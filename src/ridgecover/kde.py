@@ -18,7 +18,10 @@ round-off.  A query with no data in its box gets exactly zero density.
 When no axis is split, the whole call instead runs exactly over all
 the data.  That choice depends only on the data and h.  A
 :class:`KernelModel` bins its data once, when first evaluated, and
-every later sum on that model reuses the same cells.
+every later sum on that model reuses the same cells.  Binning also
+tabulates, for each occupied sub-cell, where the runs of its box lie in
+the sorted data, so a query in an occupied sub-cell finds its box with
+one binary search and a gather instead of two searches per box row.
 
 Both paths gather blocks of at most about ``_PAIR_BLOCK`` terms and hand
 them to one routine for the Gaussian moments.  Every row is reduced on
@@ -33,6 +36,14 @@ assignment, and a call splits the buffer into s0 to s2 once.  The
 buffer only decides where a sum is stored, never which terms it adds
 or in what order, so stacking leaves every row independent of the
 block it was computed in.
+
+The per-term scratch of the blocks, (3 + d) floats a term and an index
+ramp, comes from a grow-only :class:`_Workspace`.  A caller that sums
+many times, as ``scms.extract_ridge`` does once per step, passes one
+workspace to every call, so the scratch is allocated once per fit
+instead of once per call and lookup chunk; otherwise each call makes
+its own.  The scratch is written before it is read, so reusing it
+changes no bit.
 """
 
 from __future__ import annotations
@@ -73,15 +84,20 @@ _CUTOFF = 7.4
 # did.  On the dense path, blocks of this budget ran order-2 sums 1.15-3x
 # faster than 32-row blocks of (rows, n, d) offsets (d = 2 and 3, n = 300
 # and 2000, 1 to 500 rows; 2 cores), and extract_ridge on 2000-point
-# circles at h = 0.4, all dense, took 0.67 s against 1.44 s.
+# circles at h = 0.4, all dense, took 0.67 s against 1.44 s.  It also
+# sizes the workspace: (3 + d) floats and one index per term of the
+# largest block, 896 KiB in d = 3 unless a single row holds more terms.
 _PAIR_BLOCK = 1 << 14
 
-# Queries are looked up this many rows at a time.  This bounds the
-# (rows, 5^(k-1)) int64 arrays of box rows, which for a grid mesh of up
-# to scms._MAX_GRID_POINTS = 10^6 queries in d=3 (25 box rows) would
-# otherwise take hundreds of MiB.  The value was measured with 27
-# full-cell neighbours a row: on the helix (d=3) select run, 256 rows
-# peaked 1 MiB below 1024 rows, with order-2 sums timed alike.
+# Queries are looked up this many rows at a time, and the box table is
+# built this many occupied sub-cells at a time.  This bounds the
+# (rows, 5^(k-1)) arrays of box runs gathered from the table, and the
+# int64 binary-search temporaries of the misses and of the table build,
+# which for a grid mesh of up to scms._MAX_GRID_POINTS = 10^6 queries in
+# d=3 (25 box rows) would otherwise take hundreds of MiB.  On the helix
+# (d=3) select run, 256 rows peaked 1 MiB below 1024 rows, with order-2
+# sums timed alike; that was measured before the table, with every row
+# searched.
 _LOOKUP_ROWS = 256
 
 # An axis is split when the data occupy at least this many sub-cells on
@@ -215,6 +231,40 @@ def _as_vector(x, d: int) -> np.ndarray:
 _UNBUILT = object()
 
 
+class _Workspace:
+    """Grow-only scratch for the per-term arrays of kernel sums.
+
+    Both paths carve the moment scratch and the offsets dv of every block
+    from :meth:`floats`, (3 + d) floats per term, and the truncated path
+    offsets its gather indices by :meth:`ramp` instead of a fresh
+    ``np.arange``.  Block-sized arrays made afresh for each call let the
+    heap shrink and grow again between calls, and every page they touched
+    was a page fault: about 205k faults and 0.26-0.55 s of system time in
+    one smoothed-bootstrap ``select`` on a 1200-point helix, against 8.5k
+    faults with one workspace per fit.  A workspace serves one caller at
+    a time; it is not thread-safe.
+    """
+
+    __slots__ = ("_floats", "_ramp")
+
+    def __init__(self):
+        self._floats = np.empty(0)
+        self._ramp = np.arange(0)
+
+    def floats(self, size: int) -> np.ndarray:
+        """A 1-D scratch of ``size`` floats, contents undefined."""
+        if self._floats.size < size:
+            self._floats = np.empty(size)
+        return self._floats[:size]
+
+    def ramp(self, size: int) -> np.ndarray:
+        """The read-only integers 0, 1, ..., size - 1."""
+        if self._ramp.size < size:
+            self._ramp = np.arange(size)
+            self._ramp.setflags(write=False)
+        return self._ramp[:size]
+
+
 @functools.cache
 def _layout(d: int, order: int) -> tuple:
     """Rows of the stacked moment buffer: (m, maps).
@@ -250,7 +300,7 @@ def _unstack(buf: np.ndarray, d: int, order: int) -> tuple:
 
 
 def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
-                 *, cells=_UNBUILT):
+                 *, cells=_UNBUILT, work: _Workspace | None = None):
     """Raw Gaussian sums over the data near each query row.
 
     With u_i = (x - X_i) / h and w_i = exp(-||u_i||^2 / 2), returns
@@ -283,11 +333,16 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     The whole call is instead the exact sum over all the data
     (:func:`_dense_sums`) when the data occupy fewer than five sub-cells
     on every axis or the sub-cell indices would not be exact.
+
+    ``work`` is the :class:`_Workspace` the per-term scratch comes from;
+    without it the call makes its own.
     """
     if cells is _UNBUILT:
         cells = _Cells.build(points, h)
     if cells is None:
-        return _dense_sums(points, queries, h, order)
+        return _dense_sums(points, queries, h, order, work)
+    if work is None:
+        work = _Workspace()
     nq, d = queries.shape
     buf = np.zeros((_layout(d, order)[0], nq))
     for start in range(0, nq, _LOOKUP_ROWS):
@@ -297,7 +352,7 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
         near = count.any(axis=1)
         if not near.all():  # the other rows keep their zeros
             rows, first, count = rows[near], first[near], count[near]
-        _pair_sums(cells, queries, h, order, buf, rows, first, count)
+        _pair_sums(cells, queries, h, order, buf, rows, first, count, work)
     return _unstack(buf, d, order)
 
 
@@ -315,6 +370,15 @@ class _Cells(NamedTuple):
     one merged run of keys [key-2, key+2] found by two binary searches.
     A query outside the data is clipped to the innermost sub-cell of the
     ring, so its box stays on the grid.
+
+    The runs of a box are a function of its centre key alone, so ``build``
+    tabulates them once for every occupied sub-cell: ``box_first`` and
+    ``box_count`` hold the runs of the sub-cell ``occupied[j]`` in row j.
+    A query whose key is occupied, as every data point's is, gathers its
+    row; any other key (an empty sub-cell, a clipped query, a grid-mesh
+    point) is searched as it would be without the table.  The table
+    takes 2 * 5^(k-1) int32 entries per occupied sub-cell (int64 beyond
+    2^31 points), at most 200 bytes a data point in d = 3.
 
     A point outside a query's box lies more than two sub-cells, so more
     than c bandwidths, from it on some axis: |u| > c, and what each row
@@ -338,10 +402,14 @@ class _Cells(NamedTuple):
     offsets: np.ndarray  # (5^(k-1),) key offsets of the box rows, ascending
     keys: np.ndarray  # (n,) sorted sub-cell keys of the data
     sorted_t: np.ndarray  # (d, n) data coordinates in key order, one row per axis
+    occupied: np.ndarray  # (u,) the distinct keys, ascending
+    box_first: np.ndarray  # (u, 5^(k-1)) first sorted index of each box row
+    box_count: np.ndarray  # (u, 5^(k-1)) points in each box row
 
     @classmethod
     def build(cls, points: np.ndarray, h: float) -> "_Cells | None":
-        """Bin the data; None when the whole call should go dense."""
+        """Bin the data and tabulate the occupied boxes; None when the
+        whole call should go dense."""
         side = 0.5 * _CUTOFF * h
         lo = points.min(axis=0)
         cell = np.floor((points - lo) / side)
@@ -359,19 +427,44 @@ class _Cells(NamedTuple):
                         dtype=np.int64)
         keys = (cell[:, axes].astype(np.int64) + 3) @ strides
         order = np.argsort(keys, kind="stable")  # data order kept within a sub-cell
-        return cls(lo[axes], side, axes, dims - 3, strides, rows @ strides[:-1], keys[order],
-                   np.ascontiguousarray(points[order].T))
+        keys = keys[order]
+        offsets = rows @ strides[:-1]
+        occupied = np.unique(keys)
+        index = np.int32 if keys.size < 2**31 else np.int64
+        first = np.empty((occupied.size, offsets.size), dtype=index)
+        count = np.empty_like(first)
+        for start in range(0, occupied.size, _LOOKUP_ROWS):
+            sl = slice(start, start + _LOOKUP_ROWS)
+            first[sl], count[sl] = _box_runs(keys, offsets, occupied[sl])
+        return cls(lo[axes], side, axes, dims - 3, strides, offsets, keys,
+                   np.ascontiguousarray(points[order].T), occupied, first, count)
 
     def neighbours(self, queries: np.ndarray):
         """Per query and box row: first sorted index and point count."""
         cell = np.floor((queries[:, self.axes] - self.lo) / self.side) + 3.0
         cell = np.clip(cell, 2.0, self.hi_cell).astype(np.int64)
-        rows = (cell @ self.strides)[:, None] + self.offsets
-        first = self.keys.searchsorted(rows - 2, side="left")
-        return first, self.keys.searchsorted(rows + 2, side="right") - first
+        keys = cell @ self.strides
+        at = self.occupied.searchsorted(keys)
+        hit = self.occupied.take(at, mode="clip") == keys
+        if hit.all():
+            return self.box_first[at], self.box_count[at]
+        first = np.empty((keys.size, self.offsets.size), dtype=self.box_first.dtype)
+        count = np.empty_like(first)
+        first[hit], count[hit] = self.box_first[at[hit]], self.box_count[at[hit]]
+        first[~hit], count[~hit] = _box_runs(self.keys, self.offsets, keys[~hit])
+        return first, count
 
 
-def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count) -> None:
+def _box_runs(keys: np.ndarray, offsets: np.ndarray, centres: np.ndarray):
+    """The box runs of each centre key: per box row, the first index in the
+    sorted ``keys`` of the merged run [key - 2, key + 2] and its length."""
+    rows = centres[:, None] + offsets
+    first = keys.searchsorted(rows - 2, side="left")
+    return first, keys.searchsorted(rows + 2, side="right") - first
+
+
+def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count,
+               work: _Workspace) -> None:
     """Sum ``rows`` of ``queries`` over their candidates only, into columns
     ``rows`` of the stacked buffer ``buf``.
 
@@ -381,8 +474,10 @@ def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count) -> Non
     total = count.sum(axis=1)
     ptr = np.concatenate(([0], total.cumsum()))
     d = queries.shape[1]
-    # the moments' scratch and dv for the largest block, reused by every block
-    work = np.empty((3 + d) * min(ptr[-1], max(_PAIR_BLOCK, total.max(initial=0))))
+    # the moments' scratch and dv for the largest possible block, so that a
+    # workspace shared by the calls of a fit is allocated once; only the
+    # pages a block uses are touched
+    scratch = work.floats((3 + d) * max(_PAIR_BLOCK, total.max(initial=0)))
     r = 0
     while r < rows.size:
         stop = max(int(ptr.searchsorted(ptr[r] + _PAIR_BLOCK, side="right")) - 1, r + 1)
@@ -390,37 +485,44 @@ def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count) -> Non
         cnt = count[r:stop].ravel()
         # flat index p of run j maps to first_j + (p - start of run j)
         shift = first[r:stop].ravel() - (cnt.cumsum() - cnt)
-        idx = shift.repeat(cnt) + np.arange(ptr[stop] - ptr[r])
-        seg = ptr[r:stop] - ptr[r]
+        idx = shift.repeat(cnt)
         terms = idx.size
-        dv = work[3 * terms:(3 + d) * terms].reshape(d, terms)
+        idx += work.ramp(terms)
+        seg = ptr[r:stop] - ptr[r]
+        dv = scratch[3 * terms:(3 + d) * terms].reshape(d, terms)
         # mode="clip" lets take write into dv unbuffered; every index is in range
         cells.sorted_t.take(idx, axis=1, out=dv, mode="clip")
         np.subtract(queries.T[:, sel].repeat(total[r:stop], axis=1), dv, out=dv)
         local = np.empty((buf.shape[0], sel.size))
         _moments(dv, h, order, functools.partial(np.add.reduceat, indices=seg), local,
-                 work[:3 * terms].reshape(3, terms))
+                 scratch[:3 * terms].reshape(3, terms))
         buf[:, sel] = local
         r = stop
 
 
-def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int):
+def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
+                work: _Workspace | None = None):
     """Exact :func:`_kernel_sums` over all the data.
 
     A block holds ``max(1, _PAIR_BLOCK // n)`` whole rows, each reduced
     by a pairwise sum over a contiguous (rows, n) plane per coordinate,
-    so the per-row results do not depend on the block layout.
+    so the per-row results do not depend on the block layout.  The
+    blocks' scratch comes from ``work``, or from a fresh workspace.
     """
     nq, d = queries.shape
+    n = points.shape[0]
     buf = np.empty((_layout(d, order)[0], nq))
     points_t = np.ascontiguousarray(points.T)
     queries_t = np.ascontiguousarray(queries.T)
-    step = max(1, _PAIR_BLOCK // points.shape[0])
+    step = max(1, _PAIR_BLOCK // n)
     reduce = functools.partial(np.add.reduce, axis=-1)
-    work = np.empty((3 + d, min(step, nq), points.shape[0]))  # scratch, then dv
+    if work is None:
+        work = _Workspace()
+    shape = (3 + d, min(step, nq), n)  # scratch, then dv
+    scratch = work.floats(math.prod(shape)).reshape(shape)
     for start in range(0, nq, step):
         sl = slice(start, min(start + step, nq))
-        block = work[:, :sl.stop - start]
+        block = scratch[:, :sl.stop - start]
         dv = np.subtract(queries_t[:, sl, None], points_t[:, None, :], out=block[3:])
         _moments(dv, h, order, reduce, buf[:, sl], block[:3])
     return _unstack(buf, d, order)
@@ -439,7 +541,7 @@ def _moments(dv: np.ndarray, h: float, order: int, reduce, buf: np.ndarray,
     ``reduce``; which row of ``buf`` receives it changes no bit.
 
     ``work`` holds three scratch arrays of the shape of ``dv[0]``.  The
-    callers carve it and ``dv`` from one allocation per call, reused by
+    callers carve it and ``dv`` from one :class:`_Workspace`, reused by
     every block: fresh block-sized arrays for each block let the heap
     shrink and grow again between blocks, and every page of every block
     was a page fault (117k per three dense circle fits at h = 0.4).

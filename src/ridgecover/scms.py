@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._io import write_csv
 from .coverage import Manifold
-from .kde import KernelModel, PointCloud, _as_vector, _kernel_sums, _norm_const
+from .kde import KernelModel, PointCloud, _as_vector, _kernel_sums, _norm_const, _Workspace
 
 __all__ = [
     "DivergenceError",
@@ -96,10 +97,11 @@ class ScmsConfig:
     ``tolerance`` is the stopping threshold on the displacement norm per
     step, positive and finite; ``None`` means 1e-6 * h, resolved when
     the bandwidth is known.
+    ``max_iterations`` is an integer >= 1.
     ``mesh`` selects the initial points: ``"data"`` starts one
     trajectory per data point, ``"grid"`` builds an axis-aligned grid
-    over the data bounding box with spacing <= ``grid_resolution`` and
-    at most 10**6 points.
+    over the data bounding box with spacing <= ``grid_resolution``,
+    positive and finite, and at most 10**6 points.
     Retained ridge points must have density at least
     ``density_threshold_fraction`` times the maximum fitted density.
     """
@@ -111,16 +113,21 @@ class ScmsConfig:
     density_threshold_fraction: float = 0.05
 
     def __post_init__(self):
-        if int(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be >= 1")
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
+        iters = self.max_iterations
+        integral = isinstance(iters, numbers.Integral) or (
+            isinstance(iters, numbers.Real) and float(iters).is_integer())
+        if not integral or int(iters) < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {iters!r}")
+        object.__setattr__(self, "max_iterations", int(iters))
         if self.tolerance is not None and not 0.0 < float(self.tolerance) < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.mesh not in ("data", "grid"):
             raise ValueError(f"mesh must be 'data' or 'grid', got {self.mesh!r}")
         if self.mesh == "grid":
-            if self.grid_resolution is None or not (float(self.grid_resolution) > 0.0):
-                raise ValueError("grid mesh requires a positive grid_resolution")
+            res = self.grid_resolution
+            if res is None or not 0.0 < float(res) < math.inf:
+                raise ValueError(
+                    f"grid mesh requires a positive and finite grid_resolution, got {res}")
         if not 0.0 <= float(self.density_threshold_fraction) <= 1.0:
             raise ValueError("density_threshold_fraction must be in [0, 1]")
 
@@ -199,7 +206,7 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
-def _step_batch(model: KernelModel, x: np.ndarray):
+def _step_batch(model: KernelModel, x: np.ndarray, *, work: _Workspace | None = None):
     """The plain SCMS step g = V V^T (m(x) - x) for a batch of points.
 
     With u = (x - X_i) / h and E the mean over the kernel weights,
@@ -212,10 +219,11 @@ def _step_batch(model: KernelModel, x: np.ndarray):
     takes each v_j twice, so flipping one changes no result, not even by
     rounding.  Returns (g, ok, s0, s2): ok is False for rows whose kernel
     sum underflowed (density numerically zero), where g is exactly 0,
-    and s0 and s2 are the raw kernel sums at x.
+    and s0 and s2 are the raw kernel sums at x.  ``work`` is the
+    workspace of the kernel sums (see :mod:`ridgecover.kde`).
     """
     h = model.bandwidth
-    s0, s1, s2 = _kernel_sums(model.data.points, x, h, order=2, cells=model.cells)
+    s0, s1, s2 = _kernel_sums(model.data.points, x, h, order=2, cells=model.cells, work=work)
     ok = s0 > 0.0
     safe = np.where(ok, s0, 1.0)
     mu = s1 / safe[:, None]
@@ -305,9 +313,11 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     the converged endpoints and the data points.
 
     If everything is filtered the result is an empty RidgeSet, not an
-    exception.
+    exception.  Every kernel sum of the fit takes its scratch from one
+    workspace, so its pages are mapped once per fit, not once per step.
     """
     model = KernelModel(data, h)
+    work = _Workspace()
     x = _build_mesh(data, cfg)
     nq = x.shape[0]
     if nq == 0:
@@ -326,7 +336,7 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     for step in range(cfg.max_iterations):
         if active.size == 0:
             break
-        g, ok, s0, s2 = _step_batch(model, x[active])
+        g, ok, s0, s2 = _step_batch(model, x[active], work=work)
         if step == 0:
             first_s0 = s0
         dx = _step_size(last_dx, last_g - g)[:, None] * g
@@ -358,7 +368,8 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     if cfg.mesh == "data":
         data_s0 = first_s0
     else:
-        data_s0 = _kernel_sums(data.points, data.points, h, order=0, cells=model.cells)[0]
+        data_s0 = _kernel_sums(data.points, data.points, h, order=0, cells=model.cells,
+                               work=work)[0]
     data_density = data_s0 * norm
     peak = float(max(dens.max(initial=0.0), data_density.max()))
     threshold = cfg.density_threshold_fraction * peak

@@ -209,6 +209,19 @@ class TestRidge:
             assert err.splitlines() == ["error: --mesh grid:<res> needs a number, got 'grid:'"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ridge", "select"])
+    @pytest.mark.parametrize("res", ["inf", "-inf"])
+    def test_infinite_grid_resolution_exits_2(self, ring_csv, tmp_path, capsys, command, res):
+        # grid:inf used to exit 0 with a 2-point-per-axis mesh
+        out = tmp_path / "out"
+        flags = ["--h", "0.3"] if command == "ridge" else ["--grid", "0.2:0.4:2"]
+        assert run([command, "--input", ring_csv, *flags, "--mesh", f"grid:{res}",
+                    "--output-dir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: grid mesh requires a positive and finite grid_resolution, "
+                       f"got {float(res)}"]
+        assert not out.exists()
+
 
 class TestSelect:
     def test_selects_and_reports(self, ring_csv, tmp_path):

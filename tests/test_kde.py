@@ -27,7 +27,14 @@ from ridgecover import (
     sample_smoothed,
     scms_step,
 )
-from ridgecover.kde import _CUTOFF, _PAIR_BLOCK, _Cells, _dense_sums, _kernel_sums
+from ridgecover.kde import (
+    _CUTOFF,
+    _PAIR_BLOCK,
+    _Cells,
+    _Workspace,
+    _dense_sums,
+    _kernel_sums,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -728,3 +735,138 @@ class TestTruncatedSumProperties:
             row = _kernel_sums(pts, queries[i:i + 1], h, order=2)
             for a, b in zip(ref, row):
                 np.testing.assert_array_equal(a[i:i + 1], b)
+
+
+def direct_lookup(cells, queries):
+    """Each query's box runs from two binary searches per box row, without
+    the table of occupied sub-cells."""
+    cell = np.floor((queries[:, cells.axes] - cells.lo) / cells.side) + 3.0
+    cell = np.clip(cell, 2.0, cells.hi_cell).astype(np.int64)
+    rows = (cell @ cells.strides)[:, None] + cells.offsets
+    first = cells.keys.searchsorted(rows - 2, side="left")
+    return first, cells.keys.searchsorted(rows + 2, side="right") - first
+
+
+def assert_lookup_is_direct(cells, queries):
+    first, count = cells.neighbours(queries)
+    ref_first, ref_count = direct_lookup(cells, queries)
+    assert first.shape == ref_first.shape == (len(queries), 5 ** (cells.axes.size - 1))
+    np.testing.assert_array_equal(first, ref_first)
+    np.testing.assert_array_equal(count, ref_count)
+
+
+@st.composite
+def split_clouds(draw):
+    """Data in d = 1-4 at h = 1 that split 1-4 of the axes, and queries at
+    the data, anywhere on and around the grid, and far outside it."""
+    side = 0.5 * _CUTOFF
+    d = draw(st.integers(1, 4))
+    split = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    # occupied sub-cells per axis: at least 5 on a split axis, at most 4 on the others
+    spans = np.array([draw(st.integers(5, 12)) if a in split else draw(st.integers(1, 4))
+                      for a in range(d)])
+    n = draw(st.integers(0, 50))
+    cell = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 11))) % spans
+    frac = draw(hnp.arrays(float, (n, d), elements=st.floats(0.0, 0.99)))
+    # the lowest and highest sub-cell on every axis hold a point
+    corners = np.stack([np.zeros(d), spans - 1.0])
+    pts = np.concatenate([corners + 0.5, cell + frac]) * side
+    around = draw(hnp.arrays(np.int64, (draw(st.integers(1, 40)), d),
+                             elements=st.integers(-4, 16))) + 0.5
+    far = draw(hnp.arrays(float, (draw(st.integers(1, 10)), d),
+                          elements=st.floats(1e3, 1e6) | st.floats(-1e6, -1e3)))
+    return pts, np.concatenate([pts, around * side, far]), np.sort(split)
+
+
+class TestBoxTable:
+    """The table of occupied boxes against the direct binary searches."""
+
+    @PROPERTY
+    @given(split_clouds())
+    def test_lookup_equals_direct_search(self, case):
+        pts, queries, split = case
+        cells = _Cells.build(pts, 1.0)
+        np.testing.assert_array_equal(cells.axes, split)
+        assert_lookup_is_direct(cells, queries)
+        # every data point's sub-cell is in the table
+        first, count = cells.neighbours(pts)
+        np.testing.assert_array_equal(first, direct_lookup(cells, pts)[0])
+
+    def test_hits_and_misses_in_one_lookup(self):
+        rng = np.random.default_rng(111)
+        h = 0.1
+        for d in (1, 2, 3):
+            pts = clustered_cloud(rng, d)
+            cells = _Cells.build(pts, h)
+            assert cells.occupied.size == np.unique(cells.keys).size
+            assert cells.box_first.shape == cells.box_count.shape == (
+                cells.occupied.size, 5 ** (cells.axes.size - 1))
+            assert cells.box_first.dtype == cells.box_count.dtype == np.int32
+            # queries in the gap at x0 = 11 sit in empty sub-cells, far ones
+            # are clipped, and those up to two sub-cells from the spread
+            # points sit in occupied and empty sub-cells alike
+            queries = np.concatenate([pts[:50], rng.uniform(10.7, 11.3, (30, d)),
+                                      rng.uniform(-1e4, 1e4, (30, d)),
+                                      pts[-60:] + rng.uniform(-2.0, 2.0, (60, d)) * cells.side])
+            cell = np.clip(np.floor((queries[:, cells.axes] - cells.lo) / cells.side) + 3.0,
+                           2.0, cells.hi_cell).astype(np.int64)
+            hit = np.isin(cell @ cells.strides, cells.occupied)
+            assert hit[:50].all() and not hit[50:80].any()
+            assert hit[110:].any() and not hit[110:].all()
+            assert_lookup_is_direct(cells, queries)
+            assert_lookup_is_direct(cells, queries[:50])  # all hits: gathered only
+            assert_lookup_is_direct(cells, queries[50:80])  # all misses: searched only
+
+    def test_grid_mesh_lookups(self):
+        # the queries of a grid mesh, mostly between the data
+        cloud, _ = generate(SyntheticSpec("helix", n=300, noise_sigma=0.1, seed=2))
+        cells = _Cells.build(cloud.points, 0.05)
+        axes = [np.linspace(a, b, 12) for a, b in zip(cloud.points.min(axis=0),
+                                                     cloud.points.max(axis=0))]
+        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        assert_lookup_is_direct(cells, mesh)
+
+
+class TestWorkspace:
+    """One workspace reused across kernel sums changes no bit."""
+
+    def test_reused_workspace_matches_fresh_calls(self):
+        rng = np.random.default_rng(112)
+        h = 0.1
+        for d in (1, 2, 3):
+            clump = rng.uniform(0.0, 0.05, (_PAIR_BLOCK + 500, d))
+            spread = clustered_cloud(rng, d, n=200)
+            dense = rng.uniform(0.0, 1.4, (300, d))  # fewer than 5 sub-cells per axis
+            for pts in (np.concatenate([clump, spread]), dense):
+                cells = _Cells.build(pts, h)
+                assert (cells is None) == (pts is dense)
+                pool = np.concatenate([
+                    spread + rng.uniform(-0.2, 0.2, spread.shape),
+                    rng.uniform(-1.0, 21.0, (1300, d)),
+                ])
+                work = _Workspace()
+                sizes = []
+                # rows grow and shrink; the second call has a row near the
+                # clump with more than _PAIR_BLOCK candidates
+                for rows in (3, 700, 1, 1500, 40, 2):
+                    queries = pool[rng.choice(len(pool), rows, replace=False)]
+                    if rows == 700:
+                        queries[0] = 0.02
+                    for order in (0, 1, 2):
+                        work._floats.fill(np.nan)  # stale scratch must never be read
+                        got = _kernel_sums(pts, queries, h, order, cells=cells, work=work)
+                        fresh = _kernel_sums(pts, queries, h, order)
+                        assert len(got) == len(fresh) == order + 1
+                        for a, b in zip(got, fresh):
+                            np.testing.assert_array_equal(a, b)
+                        sizes.append(work._floats.size)
+                assert sizes == sorted(sizes)  # grow-only
+                if cells is not None:
+                    assert sizes[-1] > (3 + d) * _PAIR_BLOCK
+
+    def test_ramp_is_read_only(self):
+        work = _Workspace()
+        np.testing.assert_array_equal(work.ramp(5), np.arange(5))
+        np.testing.assert_array_equal(work.ramp(3), np.arange(3))
+        with pytest.raises(ValueError):
+            work.ramp(4)[0] = 7

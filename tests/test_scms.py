@@ -1,5 +1,8 @@
 """Tests for the subspace constrained mean shift machinery."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from ridgecover import (
     scms_step,
 )
 import ridgecover.scms as scms_module
-from ridgecover.kde import _CUTOFF, _Cells, _kernel_sums
+from ridgecover.kde import _CUTOFF, _Cells, _kernel_sums, _Workspace
 from ridgecover.scms import _STEP_CAP, _step_batch, _step_size
 
 
@@ -319,9 +322,9 @@ class TestExtractRidgeConsistency:
             orders.append(order)
             return sums(points, queries, h, order, **kwargs)
 
-        def counting(model, x):
+        def counting(model, x, **kwargs):
             batches.append(len(x))
-            return step_batch(model, x)
+            return step_batch(model, x, **kwargs)
 
         monkeypatch.setattr(scms_module, "_kernel_sums", recording)
         monkeypatch.setattr(scms_module, "_step_batch", counting)
@@ -427,6 +430,73 @@ class TestExtractRidgeConsistency:
             assert members.sum() == len(ridge)
 
 
+def in_two_threads(task, args, timeout=120.0):
+    """Run ``task(args[0])`` and ``task(args[1])`` in two threads released
+    together, switching between them often; return both results."""
+    barrier = threading.Barrier(2)
+    results, errors = [None, None], []
+
+    def run(i):
+        try:
+            barrier.wait(timeout)
+            results[i] = task(args[i])
+        except Exception as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
+class TestThreads:
+    """Kernel sums share the model's cells and table, never a workspace."""
+
+    def test_two_threads_on_one_model_match_serial(self):
+        cloud, _ = generate(SyntheticSpec("helix", n=600, noise_sigma=0.1, seed=2))
+        rng = np.random.default_rng(31)
+        starts = [cloud.points[::2] + 0.01 * rng.standard_normal((300, 3)),
+                  rng.uniform(cloud.points.min(axis=0), cloud.points.max(axis=0), (300, 3))]
+
+        for h in (0.08, 2.0):  # cells and table, and whole-call dense
+            def fit(model):
+                def steps(x):
+                    out = [density(model, x), gradient(model, x), hessian(model, x)]
+                    work = _Workspace()
+                    for _ in range(8):
+                        g, ok, s0, s2 = _step_batch(model, x, work=work)
+                        out += [g, ok, s0, s2]
+                        x = x + g
+                    return out
+                return steps
+
+            serial = [fit(KernelModel(cloud, h))(x) for x in starts]
+            # a fresh model: both threads may bin the data at once
+            shared = fit(KernelModel(cloud, h))
+            for got, ref in zip(in_two_threads(shared, starts), serial):
+                assert len(got) == len(ref)
+                for a, b in zip(got, ref):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_two_threads_extracting_one_ridge_match_serial(self):
+        cloud, _ = generate(SyntheticSpec("helix", n=400, noise_sigma=0.1, seed=3))
+        ref = extract_ridge(cloud, 0.1)
+        for ridge in in_two_threads(lambda h: extract_ridge(cloud, h), [0.1, 0.1]):
+            np.testing.assert_array_equal(ridge.positions, ref.positions)
+            np.testing.assert_array_equal(ridge.density, ref.density)
+            np.testing.assert_array_equal(ridge.lambda2, ref.lambda2)
+
+
 class TestScmsConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -442,6 +512,25 @@ class TestScmsConfig:
                 ScmsConfig(mesh="grid", grid_resolution=res)
         with pytest.raises(ValueError):
             ScmsConfig(density_threshold_fraction=1.5)
+
+    @pytest.mark.parametrize("iters", [2.5, np.float64(0.5), float("inf"), float("nan"),
+                                       "3", None, 0, -4])
+    def test_max_iterations_must_be_a_positive_integer(self, iters):
+        # 2.5 used to run 2 iterations
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            ScmsConfig(max_iterations=iters)
+
+    @pytest.mark.parametrize("iters", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_max_iterations_accepted(self, iters):
+        cfg = ScmsConfig(max_iterations=iters)
+        assert cfg.max_iterations == 3 and type(cfg.max_iterations) is int
+
+    @pytest.mark.parametrize("res", [float("inf"), -float("inf"), float("nan"), 0.0, -0.5, None])
+    def test_grid_resolution_must_be_positive_and_finite(self, res):
+        # an infinite spacing used to mesh the bounding box by its corners alone
+        with pytest.raises(ValueError,
+                           match="requires a positive and finite grid_resolution"):
+            ScmsConfig(mesh="grid", grid_resolution=res)
 
     @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1e-6])
     def test_tolerance_must_be_positive_and_finite(self, tolerance):
