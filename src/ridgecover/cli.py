@@ -28,7 +28,7 @@ import numpy as np
 from ._io import write_json
 from .coverage import Manifold, coverage_cdf, hausdorff, loss_pair
 from .datasets import KINDS, SyntheticSpec, generate, load_csv
-from .kde import PointCloud
+from .kde import PointCloud, _count
 from .risk import select_bandwidth
 from .scms import RidgeSet, ScmsConfig, extract_ridge
 
@@ -182,8 +182,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_ridge(args: argparse.Namespace) -> int:
     if args.input is None:
         raise ValueError("ridge requires --input")
-    if args.h is None or args.h <= 0.0:
-        raise ValueError("ridge requires a positive --h")
+    if args.h is None:
+        raise ValueError("ridge requires --h")
     cloud = _load_cloud(args.input, args.columns)
     cfg = _scms_config(args)
     ridge = extract_ridge(cloud, args.h, cfg)
@@ -197,12 +197,11 @@ def cmd_ridge(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     if args.input is None:
         raise ValueError("select requires --input")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    seed = _count(args.seed, "--seed", 0)
     cloud = _load_cloud(args.input, args.columns)
     grid = None if args.grid is None else _parse_span(args.grid, "--grid")
     cfg = _scms_config(args)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     curve = select_bandwidth(cloud, grid, method=args.method,
                              objective=args.objective, cfg=cfg, rng=rng,
                              replicates=args.replicates, workers=args.workers)
@@ -212,7 +211,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     curve.save_json(out / "select.json", extra={
         "command": "select",
         "input": str(args.input),
-        "seed": args.seed,
+        "seed": seed,
         "config": asdict(cfg),
         "version": _VERSION,
     })

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .kde import _as_points, _as_vector
+from .kde import _as_points, _as_vector, _count
 
 __all__ = [
     "Manifold",
@@ -118,9 +118,7 @@ def coverage_samples(
     Hausdorff distance between the two sets.
     """
     _check_pair(a, b)
-    size = a.m if n_samples is None else int(n_samples)
-    if size < 1:
-        raise ValueError("n_samples must be >= 1")
+    size = a.m if n_samples is None else _count(n_samples, "n_samples", 1)
     idx = rng.integers(0, a.m, size=size)
     return _nearest_dists(a.points[idx], b.points)
 
@@ -140,8 +138,9 @@ def coverage_cdf(a: Manifold, b: Manifold, radii) -> "CoverageDiagram":
         raise ValueError(f"radii must be finite, got {r[~np.isfinite(r)][0]}")
     if np.any(r < 0.0) or np.any(np.diff(r) < 0.0):
         raise ValueError("radii must be nonnegative and nondecreasing")
-    cdf_12 = np.mean(d_ab[None, :] <= r[:, None], axis=1)
-    cdf_21 = np.mean(d_ba[None, :] <= r[:, None], axis=1)
+    # counts, not an (R, m) mask, so memory stays O(R + m)
+    cdf_12, cdf_21 = (np.sort(d).searchsorted(r, side="right") / d.size
+                      for d in (d_ab, d_ba))
     return CoverageDiagram(radii=r, cdf_12=cdf_12, cdf_21=cdf_21)
 
 

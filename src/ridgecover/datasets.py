@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import Manifold
-from .kde import PointCloud
+from .kde import PointCloud, _count
 
 __all__ = ["SyntheticSpec", "generate", "load_csv", "KINDS"]
 
@@ -61,11 +61,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; valid kinds: {KINDS}")
-        if int(self.n) < 1:
-            raise ValueError("n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
-        if int(self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "n", _count(self.n, "n", 1))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if self.noise_sigma is not None and not 0.0 <= float(self.noise_sigma) < math.inf:
             raise ValueError("noise_sigma must be nonnegative and finite, "
                              f"got {self.noise_sigma}")
@@ -195,13 +192,14 @@ def _parse_row(row: list[str]) -> list[float] | None:
 def load_csv(path, columns: tuple[str, str] | list[str] | None = None) -> PointCloud:
     """Read a point cloud from CSV.
 
-    A non-numeric first row is treated as a header.  ``columns`` selects
+    The file is UTF-8, with or without a byte-order mark.  A non-numeric
+    first row is treated as a header.  ``columns`` selects
     named columns, each at most once (requires a header); by default all
     columns are used.
     Rows with missing or non-finite values are skipped; one warning
     reports how many were dropped.  Zero valid rows is an error.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: file contains no data")

@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,6 +129,24 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _count(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int, refused unless it is a whole number in [lo, hi] (3.0 passes)."""
+    bound = f">= {lo}" if hi is None else f">= {lo} and <= {hi}"
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+    if value < lo or hi is not None and value > hi:
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a float, refused unless it is a real number in (0, inf)."""
+    if not (isinstance(value, numbers.Real) and 0.0 < float(value) < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Immutable n x d array of sample points.
@@ -173,9 +192,7 @@ class KernelModel:
     bandwidth: float
 
     def __post_init__(self):
-        h = float(self.bandwidth)
-        if not np.isfinite(h) or h <= 0.0:
-            raise ValueError(f"bandwidth must be positive and finite, got {h}")
+        h = _positive(self.bandwidth, "bandwidth")
         try:  # h**d can underflow to 0 or overflow
             norm = _norm_const(self.data.n, self.data.d, h)
             finite = all(np.isfinite(s) for s in (norm, norm / h, norm / h**2))
@@ -445,13 +462,11 @@ class _Cells(NamedTuple):
         cell = np.clip(cell, 2.0, self.hi_cell).astype(np.int64)
         keys = cell @ self.strides
         at = self.occupied.searchsorted(keys)
-        hit = self.occupied.take(at, mode="clip") == keys
-        if hit.all():
-            return self.box_first[at], self.box_count[at]
-        first = np.empty((keys.size, self.offsets.size), dtype=self.box_first.dtype)
-        count = np.empty_like(first)
-        first[hit], count[hit] = self.box_first[at[hit]], self.box_count[at[hit]]
-        first[~hit], count[~hit] = _box_runs(self.keys, self.offsets, keys[~hit])
+        first = self.box_first.take(at, axis=0, mode="clip")
+        count = self.box_count.take(at, axis=0, mode="clip")
+        miss = self.occupied.take(at, mode="clip") != keys
+        if miss.any():  # data points always hit; an empty search costs ~12 us a call
+            first[miss], count[miss] = _box_runs(self.keys, self.offsets, keys[miss])
         return first, count
 
 
@@ -619,9 +634,7 @@ def sample_smoothed(model: KernelModel, m: int, rng: np.random.Generator) -> Poi
     standard Gaussian d-vector; this is the exact sampler for a Gaussian
     mixture with equal weights.  Reproducible given a seeded ``rng``.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _count(m, "m", 1)
     idx = rng.integers(0, model.n, size=m)
     noise = rng.standard_normal((m, model.d))
     return PointCloud(model.data.points[idx] + model.bandwidth * noise)

@@ -33,7 +33,8 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from .coverage import _check_jensen, loss_pair
-from .kde import KernelModel, PointCloud, normal_reference_bandwidth, sample_smoothed
+from .kde import (KernelModel, PointCloud, _count, _positive, normal_reference_bandwidth,
+                  sample_smoothed)
 from .scms import RidgeSet, ScmsConfig, extract_ridge
 
 __all__ = [
@@ -78,8 +79,7 @@ class RiskEstimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.h <= 0.0:
-            raise ValueError("h must be positive")
+        object.__setattr__(self, "h", _positive(self.h, "h"))
         _check_jensen(self.risk1, self.risk2, "risk")
 
     @property
@@ -156,10 +156,9 @@ def _map_ordered(fn, tasks, workers: int | None):
     them out to ``workers`` processes (None: every core), capped at the
     core and task counts, returns exactly what the sequential loop would.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     cores = os.cpu_count() or 1
-    workers = min(cores if workers is None else int(workers), cores, len(tasks))
+    workers = min(cores if workers is None else _count(workers, "workers", 1), cores,
+                  len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -193,8 +192,8 @@ def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "split" and data.n < 4:
         raise ValueError(f"data splitting needs n >= 4, got n={data.n}")
-    if method == "bootstrap" and not 1 <= int(replicates) <= _MAX_REPLICATES:
-        raise ValueError(f"replicates must be >= 1 and <= {_MAX_REPLICATES}, got {replicates}")
+    if method == "bootstrap":
+        replicates = _count(replicates, "replicates", 1, _MAX_REPLICATES)
     fit_lists = []
     for h, rng in zip(grid, rngs):
         if method == "split":
@@ -203,7 +202,7 @@ def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
                               for idx in (perm[:cut], perm[cut:])])
         else:
             fit_lists.append([(data.points, h, cfg, s)
-                              for s in [None, *rng.spawn(int(replicates))]])
+                              for s in [None, *rng.spawn(replicates)]])
     ridges = iter(_map_ordered(_fit_task, [f for fits in fit_lists for f in fits],
                                workers))
     entries = []
@@ -280,8 +279,8 @@ def select_bandwidth(
     """Pick the bandwidth minimizing the estimated coverage risk.
 
     ``grid`` None means 12 geometric points from h_bar / 20 to h_bar,
-    with h_bar the normal reference bandwidth.  Every grid bandwidth must
-    be positive and finite.  Grid points above h_bar are dropped before
+    with h_bar the normal reference bandwidth.  A grid is 1-D, and each
+    bandwidth positive and finite.  Grid points above h_bar are dropped before
     evaluation; if nothing is left that is an error reporting the cap.
     Both L1 and L2 estimates are recorded at every surviving grid point,
     and the curve picks ``h_star`` under ``objective`` (see ``RiskCurve``).
@@ -294,12 +293,10 @@ def select_bandwidth(
     h_bar = normal_reference_bandwidth(data)
     if grid is None:
         grid = np.geomspace(h_bar / 20.0, h_bar, 12)
-    grid = [float(h) for h in np.atleast_1d(np.asarray(grid, dtype=float))]
-    if not grid:
-        raise ValueError("bandwidth grid is empty")
-    bad = [h for h in grid if not 0.0 < h < math.inf]
-    if bad:
-        raise ValueError(f"grid bandwidths must be positive and finite, got {bad[0]}")
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError(f"bandwidth grid must be nonempty and 1-D, got shape {grid.shape}")
+    grid = [_positive(h, "grid bandwidths") for h in grid]
     kept = [h for h in grid if h <= h_bar]
     if not kept:
         raise ValueError(

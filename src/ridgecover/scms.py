@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._io import write_csv
 from .coverage import Manifold
-from .kde import KernelModel, PointCloud, _as_vector, _kernel_sums, _norm_const, _Workspace
+from .kde import (KernelModel, PointCloud, _as_vector, _count, _kernel_sums, _norm_const,
+                  _positive, _Workspace)
 
 __all__ = [
     "DivergenceError",
@@ -113,28 +113,20 @@ class ScmsConfig:
     density_threshold_fraction: float = 0.05
 
     def __post_init__(self):
-        iters = self.max_iterations
-        integral = isinstance(iters, numbers.Integral) or (
-            isinstance(iters, numbers.Real) and float(iters).is_integer())
-        if not integral or int(iters) < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {iters!r}")
-        object.__setattr__(self, "max_iterations", int(iters))
-        if self.tolerance is not None and not 0.0 < float(self.tolerance) < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        object.__setattr__(self, "max_iterations",
+                           _count(self.max_iterations, "max_iterations", 1))
+        if self.tolerance is not None:
+            object.__setattr__(self, "tolerance", _positive(self.tolerance, "tolerance"))
         if self.mesh not in ("data", "grid"):
             raise ValueError(f"mesh must be 'data' or 'grid', got {self.mesh!r}")
         if self.mesh == "grid":
-            res = self.grid_resolution
-            if res is None or not 0.0 < float(res) < math.inf:
-                raise ValueError(
-                    f"grid mesh requires a positive and finite grid_resolution, got {res}")
+            object.__setattr__(self, "grid_resolution",
+                               _positive(self.grid_resolution, "grid_resolution"))
         if not 0.0 <= float(self.density_threshold_fraction) <= 1.0:
             raise ValueError("density_threshold_fraction must be in [0, 1]")
 
     def resolved_tolerance(self, h: float) -> float:
-        if self.tolerance is not None:
-            return float(self.tolerance)
-        return DEFAULT_TOLERANCE_FACTOR * h
+        return DEFAULT_TOLERANCE_FACTOR * h if self.tolerance is None else self.tolerance
 
 
 @dataclass(frozen=True)
@@ -272,7 +264,7 @@ def scms_step(model: KernelModel, x) -> np.ndarray:
 def _build_mesh(data: PointCloud, cfg: ScmsConfig) -> np.ndarray:
     if cfg.mesh == "data":
         return np.array(data.points, dtype=float, copy=True)
-    res = float(cfg.grid_resolution)
+    res = cfg.grid_resolution
     lo = data.points.min(axis=0)
     hi = data.points.max(axis=0)
     # Counts stay floats until their product is checked: a tiny

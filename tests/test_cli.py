@@ -218,8 +218,7 @@ class TestRidge:
         assert run([command, "--input", ring_csv, *flags, "--mesh", f"grid:{res}",
                     "--output-dir", out]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: grid mesh requires a positive and finite grid_resolution, "
-                       f"got {float(res)}"]
+        assert err == [f"error: grid_resolution must be positive and finite, got {float(res)}"]
         assert not out.exists()
 
 

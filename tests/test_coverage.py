@@ -188,6 +188,23 @@ class TestCoverageCdf:
         large = coverage_cdf(a, b_plus, radii)
         assert np.all(large.cdf_12 >= small.cdf_12)
 
+    def test_counts_match_the_broadcast_mean(self):
+        # the CDFs count sorted distances; the mean of an (R, m) mask gives the same bits
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a = random_manifold(rng, int(rng.integers(1, 40)), d=int(rng.integers(1, 4)))
+            b = random_manifold(rng, int(rng.integers(1, 40)), d=a.d)
+            d_ab, d_ba = _nearest_dists(a.points, b.points), _nearest_dists(b.points, a.points)
+            # radii on a grid and at the distances themselves
+            radii = np.sort(np.concatenate([
+                np.linspace(0.0, 3.0, int(rng.integers(1, 20))),
+                rng.choice(np.concatenate([d_ab, d_ba]), 5)]))
+            diag = coverage_cdf(a, b, radii)
+            np.testing.assert_array_equal(
+                diag.cdf_12, np.mean(d_ab[None, :] <= radii[:, None], axis=1))
+            np.testing.assert_array_equal(
+                diag.cdf_21, np.mean(d_ba[None, :] <= radii[:, None], axis=1))
+
     def test_rejects_bad_radii(self):
         a = circle_mesh(1.0, m=8)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for synthetic generators and CSV ingestion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,21 @@ class TestLoadCsv:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ValueError, match="no header"):
             load_csv(path, columns=("a", "b"))
+
+    def test_byte_order_mark_before_data(self, tmp_path):
+        # the mark used to spoil the first value, so the first row was taken as a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes("1.0,2.0\n3.0,4.0\n5.0,6.0\n".encode("utf-8-sig"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = load_csv(path)
+        np.testing.assert_array_equal(cloud.points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom_header.csv"
+        path.write_bytes("x0,x1\n1.0,2.0\n3.0,4.0\n".encode("utf-8-sig"))
+        cloud = load_csv(path, columns=["x0"])
+        np.testing.assert_array_equal(cloud.points, [[1.0], [3.0]])
 
     def test_no_valid_rows_is_error(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -17,15 +17,22 @@ from hypothesis.extra import numpy as hnp
 from ridgecover import (
     DivergenceError,
     KernelModel,
+    Manifold,
     PointCloud,
+    RiskEstimate,
+    ScmsConfig,
     SyntheticSpec,
+    coverage_samples,
     density,
     generate,
     gradient,
     hessian,
     normal_reference_bandwidth,
+    risk_bootstrap,
+    risk_split,
     sample_smoothed,
     scms_step,
+    select_bandwidth,
 )
 from ridgecover.kde import (
     _CUTOFF,
@@ -870,3 +877,53 @@ class TestWorkspace:
         np.testing.assert_array_equal(work.ramp(3), np.arange(3))
         with pytest.raises(ValueError):
             work.ramp(4)[0] = 7
+
+
+def _ring(n=20):
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return PointCloud(np.stack([np.cos(t), np.sin(t)], axis=1))
+
+
+def _estimate(h):
+    return RiskEstimate(h=h, risk1=0.1, risk2=0.1, method="split", replicates=1)
+
+
+class TestInputRules:
+    """Every count and positive scalar is checked by one rule of each kind."""
+
+    # Each of these used to be truncated, accepted, or refused with a TypeError.
+    @pytest.mark.parametrize("call,match", [
+        (lambda: risk_bootstrap(_ring(), 0.3, replicates=2.5),
+         "replicates must be an integer >= 1 and <= 10000, got 2.5"),
+        (lambda: risk_split(_ring(), 0.3, workers=1.5),
+         "workers must be an integer >= 1, got 1.5"),
+        (lambda: SyntheticSpec("spiral", n=2.5), "n must be an integer >= 1, got 2.5"),
+        (lambda: SyntheticSpec("spiral", n="7"), "n must be an integer >= 1, got 7"),
+        (lambda: SyntheticSpec("spiral", seed=1.5), "seed must be an integer >= 0, got 1.5"),
+        (lambda: sample_smoothed(KernelModel(_ring(), 0.3), 2.5, np.random.default_rng(0)),
+         "m must be an integer >= 1, got 2.5"),
+        (lambda: coverage_samples(Manifold(_ring().points), Manifold(_ring().points),
+                                  np.random.default_rng(0), n_samples=2.7),
+         "n_samples must be an integer >= 1, got 2.7"),
+        (lambda: select_bandwidth(_ring(), [[0.1, 0.2]]), r"grid must be .*1-D"),
+        (lambda: _estimate(np.nan), "h must be positive and finite, got nan"),
+        (lambda: _estimate(np.inf), "h must be positive and finite, got inf"),
+        (lambda: ScmsConfig(tolerance="0.1"), "tolerance must be positive and finite"),
+        (lambda: ScmsConfig(mesh="grid", grid_resolution="0.5"),
+         "grid_resolution must be positive and finite"),
+    ], ids=["replicates", "workers", "n-fraction", "n-string", "seed-fraction", "m",
+            "n_samples", "grid-2d", "h-nan", "h-inf", "tolerance-string",
+            "grid_resolution-string"])
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    @pytest.mark.parametrize("three", [3, 3.0, np.int64(3), np.uint8(3), np.float32(3.0)])
+    def test_integral_counts_accepted(self, three):
+        spec = SyntheticSpec("spiral", n=three, seed=three)
+        assert (spec.n, spec.seed) == (3, 3) and type(spec.n) is type(spec.seed) is int
+        model = KernelModel(_ring(), np.float32(0.25))
+        assert model.bandwidth == 0.25 and type(model.bandwidth) is float
+        assert sample_smoothed(model, three, np.random.default_rng(0)).n == 3
+        ring = Manifold(_ring().points)
+        assert coverage_samples(ring, ring, np.random.default_rng(0), three).shape == (3,)

@@ -516,8 +516,10 @@ class TestScmsConfig:
     @pytest.mark.parametrize("iters", [2.5, np.float64(0.5), float("inf"), float("nan"),
                                        "3", None, 0, -4])
     def test_max_iterations_must_be_a_positive_integer(self, iters):
-        # 2.5 used to run 2 iterations
-        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+        # 2.5 used to run 2 iterations; 0 and -4 are integers below the bound
+        match = (f"max_iterations must be >= 1, got {iters}" if isinstance(iters, int)
+                 else "max_iterations must be an integer >= 1")
+        with pytest.raises(ValueError, match=match):
             ScmsConfig(max_iterations=iters)
 
     @pytest.mark.parametrize("iters", [3, 3.0, np.int64(3), np.float64(3.0)])
@@ -528,8 +530,7 @@ class TestScmsConfig:
     @pytest.mark.parametrize("res", [float("inf"), -float("inf"), float("nan"), 0.0, -0.5, None])
     def test_grid_resolution_must_be_positive_and_finite(self, res):
         # an infinite spacing used to mesh the bounding box by its corners alone
-        with pytest.raises(ValueError,
-                           match="requires a positive and finite grid_resolution"):
+        with pytest.raises(ValueError, match="grid_resolution must be positive and finite"):
             ScmsConfig(mesh="grid", grid_resolution=res)
 
     @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1e-6])
