@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import Manifold
-from .kde import PointCloud, _count
+from .kde import PointCloud, _count, _nonnegative
 
 __all__ = ["SyntheticSpec", "generate", "load_csv", "KINDS"]
 
@@ -63,9 +63,9 @@ class SyntheticSpec:
             raise ValueError(f"unknown kind {self.kind!r}; valid kinds: {KINDS}")
         object.__setattr__(self, "n", _count(self.n, "n", 1))
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
-        if self.noise_sigma is not None and not 0.0 <= float(self.noise_sigma) < math.inf:
-            raise ValueError("noise_sigma must be nonnegative and finite, "
-                             f"got {self.noise_sigma}")
+        if self.noise_sigma is not None:
+            object.__setattr__(self, "noise_sigma",
+                               _nonnegative(self.noise_sigma, "noise_sigma"))
         merged = dict(_DEFAULT_PARAMS[self.kind])
         if self.params:
             unknown = set(self.params) - set(merged)

@@ -37,13 +37,18 @@ buffer only decides where a sum is stored, never which terms it adds
 or in what order, so stacking leaves every row independent of the
 block it was computed in.
 
+SCMS steps the rows of several fits in one batch, so one call may sum
+rows of several models: a :class:`_Stack` lays their data side by side,
+each row takes its own model's path, and truncated rows of different
+models share blocks, each term divided by its own row's h.  A row gets
+the bits it gets in a call on its model alone.
+
 The per-term scratch of the blocks, (3 + d) floats a term and an index
 ramp, comes from a grow-only :class:`_Workspace`.  A caller that sums
-many times, as ``scms.extract_ridge`` does once per step, passes one
-workspace to every call, so the scratch is allocated once per fit
-instead of once per call and lookup chunk; otherwise each call makes
-its own.  The scratch is written before it is read, so reusing it
-changes no bit.
+many times, as SCMS does once per step batch, passes one workspace to
+every call, so the scratch is allocated once per group of fits instead
+of once per call and lookup chunk; otherwise each call makes its own.
+The scratch is written before it is read, so reusing it changes no bit.
 """
 
 from __future__ import annotations
@@ -140,11 +145,34 @@ def _count(value, name: str, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
+def _real(value, name: str, rule: str, accept) -> float:
+    """``value`` as a float, refused with "``name`` must be ``rule``" unless it
+    is a real number that ``accept`` takes.  An integer too large for a
+    float counts as infinite, and a string is refused."""
+    x = math.nan
+    if isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf if value > 0 else -math.inf
+    if not accept(x):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return x
+
+
 def _positive(value, name: str) -> float:
     """``value`` as a float, refused unless it is a real number in (0, inf)."""
-    if not (isinstance(value, numbers.Real) and 0.0 < float(value) < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return float(value)
+    return _real(value, name, "positive and finite", lambda x: 0.0 < x < math.inf)
+
+
+def _nonnegative(value, name: str) -> float:
+    """``value`` as a float, refused unless it is a real number in [0, inf)."""
+    return _real(value, name, "nonnegative and finite", lambda x: 0.0 <= x < math.inf)
+
+
+def _fraction(value, name: str) -> float:
+    """``value`` as a float, refused unless it is a real number in [0, 1]."""
+    return _real(value, name, "in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -316,7 +344,7 @@ def _unstack(buf: np.ndarray, d: int, order: int) -> tuple:
     return (buf[0], *[t.take(m, axis=1) for m in _layout(d, order)[1]])
 
 
-def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
+def _kernel_sums(points: np.ndarray, queries: np.ndarray, h, order: int,
                  *, cells=_UNBUILT, work: _Workspace | None = None):
     """Raw Gaussian sums over the data near each query row.
 
@@ -351,26 +379,20 @@ def _kernel_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
     (:func:`_dense_sums`) when the data occupy fewer than five sub-cells
     on every axis or the sub-cell indices would not be exact.
 
+    The rows may also belong to several models, as when SCMS steps the
+    rows of several fits at once: ``cells`` is then a :class:`_Stack` of
+    the models bound to the rows (:meth:`_Stack.rows`), ``points`` the
+    stack's data and ``h`` each row's bandwidth.  Each row gets the bits
+    it would get summed alone on its own model.
+
     ``work`` is the :class:`_Workspace` the per-term scratch comes from;
     without it the call makes its own.
     """
+    if isinstance(cells, _Rows):
+        return _stack_sums(cells.stack, cells.fit, queries, h, order, work)
     if cells is _UNBUILT:
         cells = _Cells.build(points, h)
-    if cells is None:
-        return _dense_sums(points, queries, h, order, work)
-    if work is None:
-        work = _Workspace()
-    nq, d = queries.shape
-    buf = np.zeros((_layout(d, order)[0], nq))
-    for start in range(0, nq, _LOOKUP_ROWS):
-        stop = min(start + _LOOKUP_ROWS, nq)
-        rows = np.arange(start, stop)
-        first, count = cells.neighbours(queries[start:stop])
-        near = count.any(axis=1)
-        if not near.all():  # the other rows keep their zeros
-            rows, first, count = rows[near], first[near], count[near]
-        _pair_sums(cells, queries, h, order, buf, rows, first, count, work)
-    return _unstack(buf, d, order)
+    return _stack_sums(_Stack.build([(points, cells)]), None, queries, h, order, work)
 
 
 class _Cells(NamedTuple):
@@ -478,13 +500,134 @@ def _box_runs(keys: np.ndarray, offsets: np.ndarray, centres: np.ndarray):
     return first, keys.searchsorted(rows + 2, side="right") - first
 
 
-def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count,
+class _Stack(NamedTuple):
+    """The data of several kernel models, for sums whose rows mix models.
+
+    Model j's data fill columns ``base[j]`` to ``base[j + 1]`` of
+    ``data_t``, one row per axis: in key order for a truncated model, as
+    its :attr:`_Cells.sorted_t`, and in data order where ``cells[j]`` is
+    None and its sums run dense.  The truncated rows of a call, whatever
+    their model, then gather their candidates from this one array, each
+    box run shifted by its model's base, and each term is divided by its
+    own row's h.  Division by an array gives each element the bits of
+    division by the scalar, so mixing models changes no row's bits.  A
+    stack of one model holds that model's own arrays, uncopied.
+    """
+
+    data_t: np.ndarray  # (d, N) every model's data, one row per axis
+    base: np.ndarray  # (m + 1,) first column of each model, then N
+    cells: tuple  # each model's _Cells, or None where its sums run dense
+    width: int  # most box rows of any truncated model
+
+    @classmethod
+    def build(cls, models) -> "_Stack":
+        """The stack of ``models``, pairs (points, cells) of each model's
+        (n, d) data and its :meth:`_Cells.build`."""
+        parts = [np.ascontiguousarray(points.T) if cells is None else cells.sorted_t
+                 for points, cells in models]
+        base = np.cumsum([0] + [part.shape[1] for part in parts])
+        cells = tuple(cells for _, cells in models)
+        width = max([c.offsets.size for c in cells if c is not None], default=0)
+        data_t = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return cls(data_t, base, cells, width)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Every model's data as one (N, d) array, a view of ``data_t``."""
+        return self.data_t.T
+
+    def rows(self, fit: np.ndarray) -> "_Rows":
+        """The stack bound to a query batch whose row r belongs to model ``fit[r]``."""
+        return _Rows(self, fit)
+
+
+class _Rows(NamedTuple):
+    """A :class:`_Stack` and the model of each row of a query batch."""
+
+    stack: _Stack
+    fit: np.ndarray
+
+
+def _stack_sums(stack: _Stack, fit, queries, h, order, work) -> tuple:
+    """:func:`_kernel_sums` of rows of several models; row r belongs to model
+    ``fit[r]`` (model 0 if ``fit`` is None) and has bandwidth ``h[r]``
+    (``h`` itself if it is a scalar).
+
+    Each run of consecutive rows of one model is summed on that model's
+    path: dense runs whole, truncated runs through box lookups of at most
+    ``_LOOKUP_ROWS`` rows, which go to one :func:`_pair_sums` call per
+    ``_LOOKUP_ROWS`` rows of the batch whatever their model.  Rows grouped
+    by model, as SCMS keeps them, make one run per model.
+    """
+    nq, d = queries.shape
+    buf = np.zeros((_layout(d, order)[0], nq))
+    if work is None:
+        work = _Workspace()
+    if fit is None:
+        runs = [(0, nq, 0)]
+    else:
+        cut = (np.flatnonzero(fit[1:] != fit[:-1]) + 1).tolist()
+        runs = [(a, b, int(fit[a])) for a, b in zip([0, *cut], [*cut, nq]) if b > a]
+    truncated = []
+    for a, b, j in runs:
+        if stack.cells[j] is not None:
+            truncated.append((a, b, j))
+        else:
+            _dense_rows(stack.data_t[:, stack.base[j]:stack.base[j + 1]], queries[a:b],
+                        h if np.ndim(h) == 0 else h[a], order, buf[:, a:b], work)
+    for start in range(0, nq if truncated else 0, _LOOKUP_ROWS):
+        stop = min(start + _LOOKUP_ROWS, nq)
+        parts = [(max(a, start), min(b, stop), j) for a, b, j in truncated
+                 if a < stop and b > start]
+        if parts:
+            _truncated_rows(stack, parts, queries, h, order, buf, work)
+    return _unstack(buf, d, order)
+
+
+def _truncated_rows(stack: _Stack, parts, queries, h, order, buf, work) -> None:
+    """Look up the boxes of the row runs ``parts``, (first, stop, model)
+    triples of truncated models, and sum the rows into ``buf``.
+
+    Box runs are shifted to the model's columns of the stack and padded
+    with empty runs to the stack's widest box, which adds no term.
+    """
+    runs = []
+    for a, b, j in parts:
+        first, count = stack.cells[j].neighbours(queries[a:b])
+        runs.append((first + stack.base[j] if stack.base[j] else first, count))
+    if len(parts) == 1:
+        (a, b, _), (first, count) = parts[0], runs[0]
+        rows = np.arange(a, b)
+        if np.ndim(h):
+            h = h[a]
+    else:
+        rows = np.concatenate([np.arange(a, b) for a, b, _ in parts])
+        first = np.zeros((rows.size, stack.width), dtype=np.int64)
+        count = np.zeros_like(first)
+        at = 0
+        for f, c in runs:
+            first[at:at + len(f), :f.shape[1]] = f
+            count[at:at + len(f), :f.shape[1]] = c
+            at += len(f)
+        if np.ndim(h):
+            h = h[rows]
+    near = count.any(axis=1)
+    if not near.all():  # the other rows keep their zeros
+        rows, first, count = rows[near], first[near], count[near]
+        if np.ndim(h):
+            h = h[near]
+    _pair_sums(stack.data_t, queries, h, order, buf, rows, first, count, work)
+
+
+def _pair_sums(sorted_t, queries, h, order, buf, rows, first, count,
                work: _Workspace) -> None:
     """Sum ``rows`` of ``queries`` over their candidates only, into columns
     ``rows`` of the stacked buffer ``buf``.
 
     Candidates run through the box rows in key order, and through each
-    sub-cell in data order.  A block holds whole rows.
+    sub-cell in data order; ``first`` indexes the columns of ``sorted_t``.
+    ``h`` is one bandwidth, or one per row of ``rows``.  A block holds
+    whole rows.
     """
     total = count.sum(axis=1)
     ptr = np.concatenate(([0], total.cumsum()))
@@ -506,10 +649,11 @@ def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count,
         seg = ptr[r:stop] - ptr[r]
         dv = scratch[3 * terms:(3 + d) * terms].reshape(d, terms)
         # mode="clip" lets take write into dv unbuffered; every index is in range
-        cells.sorted_t.take(idx, axis=1, out=dv, mode="clip")
+        sorted_t.take(idx, axis=1, out=dv, mode="clip")
         np.subtract(queries.T[:, sel].repeat(total[r:stop], axis=1), dv, out=dv)
         local = np.empty((buf.shape[0], sel.size))
-        _moments(dv, h, order, functools.partial(np.add.reduceat, indices=seg), local,
+        scale = h if np.ndim(h) == 0 else h[r:stop].repeat(total[r:stop])
+        _moments(dv, scale, order, functools.partial(np.add.reduceat, indices=seg), local,
                  scratch[:3 * terms].reshape(3, terms))
         buf[:, sel] = local
         r = stop
@@ -517,22 +661,24 @@ def _pair_sums(cells: _Cells, queries, h, order, buf, rows, first, count,
 
 def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
                 work: _Workspace | None = None):
-    """Exact :func:`_kernel_sums` over all the data.
+    """Exact :func:`_kernel_sums` over all the data (see :func:`_dense_rows`)."""
+    return _kernel_sums(points, queries, h, order, cells=None, work=work)
+
+
+def _dense_rows(points_t: np.ndarray, queries: np.ndarray, h: float, order: int,
+                buf: np.ndarray, work: _Workspace) -> None:
+    """Exact sums of ``queries`` over all the data ``points_t`` (d, n), into ``buf``.
 
     A block holds ``max(1, _PAIR_BLOCK // n)`` whole rows, each reduced
     by a pairwise sum over a contiguous (rows, n) plane per coordinate,
     so the per-row results do not depend on the block layout.  The
-    blocks' scratch comes from ``work``, or from a fresh workspace.
+    blocks' scratch comes from ``work``.
     """
-    nq, d = queries.shape
-    n = points.shape[0]
-    buf = np.empty((_layout(d, order)[0], nq))
-    points_t = np.ascontiguousarray(points.T)
+    nq = queries.shape[0]
+    d, n = points_t.shape
     queries_t = np.ascontiguousarray(queries.T)
     step = max(1, _PAIR_BLOCK // n)
     reduce = functools.partial(np.add.reduce, axis=-1)
-    if work is None:
-        work = _Workspace()
     shape = (3 + d, min(step, nq), n)  # scratch, then dv
     scratch = work.floats(math.prod(shape)).reshape(shape)
     for start in range(0, nq, step):
@@ -540,17 +686,17 @@ def _dense_sums(points: np.ndarray, queries: np.ndarray, h: float, order: int,
         block = scratch[:, :sl.stop - start]
         dv = np.subtract(queries_t[:, sl, None], points_t[:, None, :], out=block[3:])
         _moments(dv, h, order, reduce, buf[:, sl], block[:3])
-    return _unstack(buf, d, order)
 
 
-def _moments(dv: np.ndarray, h: float, order: int, reduce, buf: np.ndarray,
+def _moments(dv: np.ndarray, h, order: int, reduce, buf: np.ndarray,
              work: np.ndarray) -> None:
     """The Gaussian moments of one block of terms, into the stacked ``buf``.
 
     ``dv`` holds the offsets x - X_i with the axis first, shape (d, ...),
-    and is scaled to u in place.  ``reduce(arr, out=row)`` sums each
-    query's terms of a weight or product array into ``row``; component k of
-    :func:`_layout` goes to ``buf[k]``, so ``buf`` is (m, rows).
+    and is scaled to u in place by ``h``, one bandwidth or one per term.
+    ``reduce(arr, out=row)`` sums each query's terms of a weight or
+    product array into ``row``; component k of :func:`_layout` goes to
+    ``buf[k]``, so ``buf`` is (m, rows).
     ||u||^2 accumulates coordinate by coordinate, and every product is
     written in place, so a row's value depends only on its terms and on
     ``reduce``; which row of ``buf`` receives it changes no bit.

@@ -20,6 +20,15 @@ grid is 12 geometric points from h_bar / 20 to h_bar.
 The bootstrap's full-data ridge at h is also the ridge a caller wants
 once h is chosen, so each bootstrap estimate carries it as ``ridge``.
 Data splitting never fits the full data and leaves ``ridge`` as None.
+
+The fits whose ridges only feed a loss, the split halves and the
+bootstrap draws of every h, are stepped together in one SCMS loop per
+worker (``scms._extract_ridges``): a fit runs one step batch per
+iteration of its slowest trajectory, so separate fits pay for their
+long tails many times over, and together they share them.  Each
+bootstrap reference ridge is fitted alone by ``extract_ridge``, as the
+ridge the estimate returns; the benchmark's per-layer trace reads SCMS
+through those calls.  Every fit gets the same ridge either way.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from ._io import write_csv, write_json
 from .coverage import _check_jensen, loss_pair
 from .kde import (KernelModel, PointCloud, _count, _positive, normal_reference_bandwidth,
                   sample_smoothed)
-from .scms import RidgeSet, ScmsConfig, extract_ridge
+from .scms import RidgeSet, ScmsConfig, _extract_ridges, _mesh_size, extract_ridge
 
 __all__ = [
     "INFINITE_RISK",
@@ -57,6 +66,14 @@ OBJECTIVES = ("l1", "l2")
 # streams, about 120 MiB, ahead of 120k ridge fits.  A far larger count
 # would overflow ``Generator.spawn``.
 _MAX_REPLICATES = 10_000
+
+# Most mesh rows, about, in one group of fits stepped together.  A
+# group holds its fits' data, cells and per-row SCMS state at once, about
+# 250 bytes a mesh row in d = 3, so a selection with many replicates or
+# large meshes runs several groups of about 16 MiB each instead of one
+# that grows with the replicate count.  Both benchmark selections (18,000
+# and 14,400 rows) fit in one group.
+_GROUP_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,6 +166,13 @@ class RiskCurve:
         write_json(path, {**self.summary(), **(extra or {})})
 
 
+def _worker_count(workers: int | None) -> int:
+    """Processes to run fits in: ``workers`` (None: every core), capped at the
+    core count."""
+    cores = os.cpu_count() or 1
+    return min(cores if workers is None else _count(workers, "workers", 1), cores)
+
+
 def _map_ordered(fn, tasks, workers: int | None):
     """Run independent tasks, preserving input order in the results.
 
@@ -156,9 +180,7 @@ def _map_ordered(fn, tasks, workers: int | None):
     them out to ``workers`` processes (None: every core), capped at the
     core and task counts, returns exactly what the sequential loop would.
     """
-    cores = os.cpu_count() or 1
-    workers = min(cores if workers is None else _count(workers, "workers", 1), cores,
-                  len(tasks))
+    workers = min(_worker_count(workers), len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -166,16 +188,38 @@ def _map_ordered(fn, tasks, workers: int | None):
 
 
 def _fit_task(args):
-    """Ridge at ``h`` of the points, or of a smoothed-bootstrap draw from them.
+    """The ridges of one task's fits, in order.
 
-    With ``stream`` None the points are fitted as given; otherwise n
-    points are drawn from their KDE at ``h`` with that stream and fitted.
+    A task is a list of fits and the SCMS config.  A fit (points, h,
+    stream) is the ridge at ``h`` of the points, or with a ``stream`` of
+    n points drawn from their KDE at ``h`` with that stream.  A lone fit
+    runs through ``extract_ridge``; several are stepped together in one
+    SCMS loop, which gives each the same ridge.
     """
-    points, h, cfg, stream = args
-    data = PointCloud(points)
-    if stream is not None:
-        data = sample_smoothed(KernelModel(data, h), data.n, stream)
-    return extract_ridge(data, h, cfg)
+    fits, cfg = args
+    clouds = []
+    for points, h, stream in fits:
+        data = PointCloud(points)
+        if stream is not None:
+            data = sample_smoothed(KernelModel(data, h), data.n, stream)
+        clouds.append((data, h))
+    if len(clouds) == 1:
+        return [extract_ridge(*clouds[0], cfg)]
+    return _extract_ridges(clouds, cfg)
+
+
+def _tasks(fits, alone, cfg: ScmsConfig, workers: int | None) -> list[list[int]]:
+    """The fits of each task, as indices into ``fits``; each fit is in one task.
+
+    Fits in ``alone`` get a task each.  The others are dealt round-robin,
+    so that every task gets a share of each bandwidth, into one group per
+    worker, or more when their meshes would exceed about ``_GROUP_ROWS``
+    rows a group.  The groups come first, as the longest tasks.
+    """
+    grouped = [i for i in range(len(fits)) if i not in alone]
+    rows = sum(_mesh_size(fits[i][0], cfg) for i in grouped)
+    count = min(max(_worker_count(workers), math.ceil(rows / _GROUP_ROWS)), len(grouped))
+    return [grouped[k::count] for k in range(count)] + [[i] for i in sorted(alone)]
 
 
 def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
@@ -183,9 +227,10 @@ def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
     """Risk estimates at each bandwidth of ``grid``, the k-th from stream ``rngs[k]``.
 
     The fit lists are those ``risk_split`` and ``risk_bootstrap`` describe,
-    all fitted in one map.  A loss pair that involves an empty ridge is
-    infinite.  The means are exact sums divided by the number of pairs,
-    so they depend on neither the evaluation order nor ``workers``.
+    all fitted in one map over the tasks of :func:`_tasks`.  A loss pair
+    that involves an empty ridge is infinite.  The means are exact sums
+    divided by the number of pairs, so they depend on neither the
+    evaluation order nor ``workers``.
     The inputs are checked here, before any fit or pool starts.
     """
     if method not in METHODS:
@@ -194,20 +239,25 @@ def _estimates(data: PointCloud, grid, method: str, cfg: ScmsConfig, rngs,
         raise ValueError(f"data splitting needs n >= 4, got n={data.n}")
     if method == "bootstrap":
         replicates = _count(replicates, "replicates", 1, _MAX_REPLICATES)
-    fit_lists = []
+    per_h = 2 if method == "split" else replicates + 1
+    fits = []
     for h, rng in zip(grid, rngs):
         if method == "split":
             perm, cut = rng.permutation(data.n), (data.n + 1) // 2
-            fit_lists.append([(data.points[idx], h, cfg, None)
-                              for idx in (perm[:cut], perm[cut:])])
+            fits += [(data.points[idx], h, None) for idx in (perm[:cut], perm[cut:])]
         else:
-            fit_lists.append([(data.points, h, cfg, s)
-                              for s in [None, *rng.spawn(replicates)]])
-    ridges = iter(_map_ordered(_fit_task, [f for fits in fit_lists for f in fits],
-                               workers))
+            fits += [(data.points, h, s) for s in [None, *rng.spawn(replicates)]]
+    # the bootstrap's references, the first fit of each h, are fitted alone
+    alone = set(range(0, len(fits), per_h)) if method == "bootstrap" else set()
+    tasks = _tasks(fits, alone, cfg, workers)
+    ridges = [None] * len(fits)
+    for task, out in zip(tasks, _map_ordered(_fit_task, [([fits[i] for i in task], cfg)
+                                                         for task in tasks], workers)):
+        for i, ridge in zip(task, out):
+            ridges[i] = ridge
     entries = []
-    for h, fits in zip(grid, fit_lists):
-        first, *others = [next(ridges) for _ in fits]
+    for k, h in enumerate(grid):
+        first, *others = ridges[k * per_h:(k + 1) * per_h]
         losses = [
             (INFINITE_RISK, INFINITE_RISK) if len(first) == 0 or len(other) == 0
             else astuple(loss_pair(first.to_manifold(), other.to_manifold()))

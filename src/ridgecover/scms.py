@@ -33,6 +33,19 @@ the ridge a trajectory ends on changes.
 A trajectory stops at its last evaluated iterate, the first whose scaled
 step falls below the tolerance, and takes its diagnostics from the sums
 made there: |V V^T grad p| = p |g| / h^2, as g = h^2 V V^T grad p / p.
+
+One loop, ``_extract_ridges``, runs every fit; ``extract_ridge`` is its
+one-fit case.  It steps the concatenated meshes of several (data, h)
+fits together, as bandwidth selection does with the fits whose ridges
+only feed a loss.  Each row carries its fit's h and tolerance, its own
+step history and its own stop, and the kernel sums of a batch keep each
+model's cells or dense path (see :class:`ridgecover.kde._Stack`), so a
+row gets the same bits in any group.  A fit runs one step batch per
+iteration of its longest trajectory, and a batch has a fixed cost of
+130-270 us however few rows it holds, so fits stepped together share
+the batches of their long tails.  Each iteration steps the active rows
+in blocks of at most ``_STEP_ROWS``, which bounds the memory of a step
+however large the group or the mesh.
 """
 
 from __future__ import annotations
@@ -40,13 +53,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._io import write_csv
 from .coverage import Manifold
-from .kde import (KernelModel, PointCloud, _as_vector, _count, _kernel_sums, _norm_const,
-                  _positive, _Workspace)
+from .kde import (KernelModel, PointCloud, _as_vector, _count, _fraction, _kernel_sums,
+                  _norm_const, _positive, _Stack, _Workspace)
 
 __all__ = [
     "DivergenceError",
@@ -73,12 +87,26 @@ _STEP_CAP = 8.0
 # data in its box of sub-cells, but once h is wide enough for the sums to
 # go dense that box is all n points: a step costs (mesh points) x n
 # kernel terms, and a larger grid would not finish in useful time.
-# Memory grows with the mesh too, since each step holds the iterates,
-# their kernel sums and Hessian eigenvectors for the whole active mesh
-# (only the box lookups are bounded, by kde._LOOKUP_ROWS), and the fit
-# stores the raw d x d Hessian sums of every mesh point's last evaluated
-# iterate.  The check runs before the mesh is allocated.
+# The memory of a step is bounded by the row blocks of _STEP_ROWS; what
+# grows with the mesh is the state of each row: its iterate, last step
+# and g, and the s0, |g| and d eigenvalues of its last evaluated
+# iterate.  Two iterations on a 300-point helix at h = 0.3 peaked 106 MiB
+# above their start at 445k grid points, about 250 bytes a point, where
+# stepping the whole active mesh at once took 345 MiB.  The check runs
+# before the mesh is allocated.
 _MAX_GRID_POINTS = 1_000_000
+
+# Most rows in one step batch; every step-sized array (kernel sums,
+# frames, steps) is bounded by it, whatever the size of the group or the
+# mesh.  On 2 cores, stepping the 24 select_split halves (seed 0)
+# together took a median 0.84, 0.78, 0.76 and 0.76 s in blocks of 256,
+# 1024 and 4096 rows and in one block (6 interleaved rounds), and the 12
+# select_bootstrap draws 1.73, 1.71, 1.53 and 1.49 s (4 rounds, which
+# varied by up to 40%).  The whole select, repeated as the benchmark
+# does, peaked at 77.2, 77.5, 77.9 and 82.8 MiB (select_split) and 78.1,
+# 78.3, 80.2 and 87.4 MiB (select_bootstrap), against 74.8 and 75.0 MiB
+# when each fit ran alone.  1024 rows keeps both rises under 4 MiB.
+_STEP_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -122,8 +150,9 @@ class ScmsConfig:
         if self.mesh == "grid":
             object.__setattr__(self, "grid_resolution",
                                _positive(self.grid_resolution, "grid_resolution"))
-        if not 0.0 <= float(self.density_threshold_fraction) <= 1.0:
-            raise ValueError("density_threshold_fraction must be in [0, 1]")
+        object.__setattr__(self, "density_threshold_fraction",
+                           _fraction(self.density_threshold_fraction,
+                                     "density_threshold_fraction"))
 
     def resolved_tolerance(self, h: float) -> float:
         return DEFAULT_TOLERANCE_FACTOR * h if self.tolerance is None else self.tolerance
@@ -198,7 +227,16 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
-def _step_batch(model: KernelModel, x: np.ndarray, *, work: _Workspace | None = None):
+class _Group(NamedTuple):
+    """The kernel models of fits stepped together: their :class:`kde._Stack`
+    and the bandwidth of each fit."""
+
+    stack: _Stack
+    h: np.ndarray  # (m,)
+
+
+def _step_batch(model, x: np.ndarray, *, work: _Workspace | None = None,
+                fit: np.ndarray | None = None):
     """The plain SCMS step g = V V^T (m(x) - x) for a batch of points.
 
     With u = (x - X_i) / h and E the mean over the kernel weights,
@@ -213,16 +251,24 @@ def _step_batch(model: KernelModel, x: np.ndarray, *, work: _Workspace | None = 
     sum underflowed (density numerically zero), where g is exactly 0,
     and s0 and s2 are the raw kernel sums at x.  ``work`` is the
     workspace of the kernel sums (see :mod:`ridgecover.kde`).
+
+    ``model`` is one :class:`KernelModel`, or with ``fit`` the
+    :class:`_Group` of several, where row r of ``x`` belongs to fit
+    ``fit[r]``.  Every operation is row by row, so a row gets the same
+    bits whichever batch it is stepped in.
     """
-    h = model.bandwidth
-    s0, s1, s2 = _kernel_sums(model.data.points, x, h, order=2, cells=model.cells, work=work)
+    if fit is None:
+        points, h, cells = model.data.points, model.bandwidth, model.cells
+    else:
+        points, h, cells = model.stack.points, model.h[fit], model.stack.rows(fit)
+    s0, s1, s2 = _kernel_sums(points, x, h, order=2, cells=cells, work=work)
     ok = s0 > 0.0
     safe = np.where(ok, s0, 1.0)
     mu = s1 / safe[:, None]
     mat = s2 / safe[:, None, None] - _eye(x.shape[1]) - mu[:, :, None] * mu[:, None, :]
     vec = np.ascontiguousarray(np.linalg.eigh(mat)[1][:, :, ::-1])  # descending
     m = np.einsum("qa,qak->qk", mu, vec)
-    g = np.sum(vec[:, :, 1:] * (-h * m[:, None, 1:]), axis=2)
+    g = np.sum(vec[:, :, 1:] * (-np.reshape(h, (-1, 1, 1)) * m[:, None, 1:]), axis=2)
     return g, ok, s0, s2
 
 
@@ -261,12 +307,11 @@ def scms_step(model: KernelModel, x) -> np.ndarray:
     return x + g[0]
 
 
-def _build_mesh(data: PointCloud, cfg: ScmsConfig) -> np.ndarray:
-    if cfg.mesh == "data":
-        return np.array(data.points, dtype=float, copy=True)
-    res = cfg.grid_resolution
-    lo = data.points.min(axis=0)
-    hi = data.points.max(axis=0)
+def _grid_counts(points: np.ndarray, res: float) -> list[int]:
+    """Points along each axis of a grid mesh over the bounding box of
+    ``points`` with spacing at most ``res``.  A grid of more than
+    ``_MAX_GRID_POINTS`` is refused before anything is allocated."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
     # Counts stay floats until their product is checked: a tiny
     # resolution makes them huge or infinite.
     counts = [max(float(np.ceil(float(b - a) / res)) + 1.0, 2.0) if b > a else 1.0
@@ -277,7 +322,23 @@ def _build_mesh(data: PointCloud, cfg: ScmsConfig) -> np.ndarray:
             f"grid mesh at resolution {res} would have {size:.3g} points; "
             f"the limit is {_MAX_GRID_POINTS}"
         )
-    axes = [np.linspace(a, b, int(c)) for a, b, c in zip(lo, hi, counts)]
+    return [int(c) for c in counts]
+
+
+def _mesh_size(points: np.ndarray, cfg: ScmsConfig) -> int:
+    """Points in the mesh of ``cfg`` over ``points``."""
+    if cfg.mesh == "data":
+        return len(points)
+    return math.prod(_grid_counts(points, cfg.grid_resolution))
+
+
+def _build_mesh(data: PointCloud, cfg: ScmsConfig) -> np.ndarray:
+    if cfg.mesh == "data":
+        return np.array(data.points, dtype=float, copy=True)
+    counts = _grid_counts(data.points, cfg.grid_resolution)
+    lo = data.points.min(axis=0)
+    hi = data.points.max(axis=0)
+    axes = [np.linspace(a, b, c) for a, b, c in zip(lo, hi, counts)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -305,21 +366,46 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     the converged endpoints and the data points.
 
     If everything is filtered the result is an empty RidgeSet, not an
-    exception.  Every kernel sum of the fit takes its scratch from one
-    workspace, so its pages are mapped once per fit, not once per step.
+    exception.  This is the one-fit case of :func:`_extract_ridges`.
     """
-    model = KernelModel(data, h)
+    return _extract_ridges([(data, h)], cfg)[0]
+
+
+def _extract_ridges(fits, cfg: ScmsConfig = ScmsConfig()) -> list[RidgeSet]:
+    """The ridges of several fits, (data, h) pairs of one dimension, stepped
+    together in one SCMS loop; each is the ridge :func:`extract_ridge`
+    returns for that fit alone, bit for bit.
+
+    The meshes of all fits are concatenated, fit by fit.  Each row takes
+    its fit's h and tolerance and keeps its own two-point step history
+    and stop rule.  An iteration steps the active rows in blocks of at
+    most ``_STEP_ROWS``, each one :func:`_step_batch` over every fit it
+    touches.  Every kernel sum takes its scratch from one workspace, so
+    its pages are mapped once per group, not once per step.
+    """
+    models = [KernelModel(data, h) for data, h in fits]
+    if len({m.d for m in models}) > 1:
+        raise ValueError("fits stepped together must share one dimension")
+    group = _Group(_Stack.build([(m.data.points, m.cells) for m in models]),
+                   np.array([m.bandwidth for m in models]))
     work = _Workspace()
-    x = _build_mesh(data, cfg)
-    nq = x.shape[0]
-    if nq == 0:
-        raise ValueError("mesh is empty")
-    tol = cfg.resolved_tolerance(h)
+    sizes = [_mesh_size(m.data.points, cfg) for m in models]
+    ends = np.cumsum([0] + sizes)
+    nq, d = ends[-1], models[0].d
+    x = np.empty((nq, d))
+    for model, a, b in zip(models, ends[:-1], ends[1:]):
+        x[a:b] = _build_mesh(model.data, cfg)
+    fit = np.repeat(np.arange(len(models)), np.diff(ends))
+    tol = np.array([cfg.resolved_tolerance(m.bandwidth) for m in models])
 
     converged = np.zeros(nq, dtype=bool)
     iters = np.zeros(nq, dtype=int)
-    # s0, |g| and s2 at each stopped trajectory's last evaluated iterate
-    end_s0, end_g, end_s2 = np.zeros(nq), np.zeros(nq), np.zeros((nq, data.d, data.d))
+    # s0 at each mesh point; s0, |g| and the descending eigenvalues of
+    # s2 - s0 I at each stopped trajectory's last evaluated iterate
+    start_s0 = np.zeros(nq)
+    end_s0, end_g, end_lam = np.zeros(nq), np.zeros(nq), np.zeros((nq, d))
+    # stopped rows and their s2, until about a block's worth is decomposed at once
+    ended, waiting = [], 0
     active = np.arange(nq)
     # each active trajectory's last step and the g it was taken along; none yet
     last_dx = np.zeros_like(x)
@@ -328,28 +414,69 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
     for step in range(cfg.max_iterations):
         if active.size == 0:
             break
-        g, ok, s0, s2 = _step_batch(model, x[active], work=work)
-        if step == 0:
-            first_s0 = s0
-        dx = _step_size(last_dx, last_g - g)[:, None] * g
+        kept = []
+        for start in range(0, active.size, _STEP_ROWS):
+            block = slice(start, start + _STEP_ROWS)
+            rows = active[block]
+            row_fit = fit[rows]
+            g, ok, s0, s2 = _step_batch(group, x[rows], work=work, fit=row_fit)
+            if step == 0:
+                start_s0[rows] = s0
+            dx = _step_size(last_dx[block], last_g[block] - g)[:, None] * g
+            done = ok & (np.sqrt(np.sum(dx * dx, axis=1)) < tol[row_fit])
+            if done.any():
+                stopped = rows[done]
+                converged[stopped] = True
+                end_s0[stopped] = s0[done]
+                end_g[stopped] = np.sqrt(np.sum(g[done] * g[done], axis=1))
+                ended.append((stopped, s2[done]))
+                waiting += stopped.size
+            keep = ok & ~done
+            kept.append((rows[keep], dx[keep], g[keep]))
         iters[active] += 1
-        done = ok & (np.sqrt(np.sum(dx * dx, axis=1)) < tol)
-        stopped = active[done]
-        converged[stopped] = True
-        end_s0[stopped], end_s2[stopped] = s0[done], s2[done]
-        end_g[stopped] = np.sqrt(np.sum(g[done] * g[done], axis=1))
-        keep = ok & ~done
-        active, last_dx, last_g = active[keep], dx[keep], g[keep]
+        active, last_dx, last_g = (np.concatenate(part) for part in zip(*kept))
         x[active] += last_dx
+        if waiting >= _STEP_ROWS:
+            _end_eigenvalues(ended, end_s0, end_lam)
+            waiting = 0
+    _end_eigenvalues(ended, end_s0, end_lam)
 
-    # Membership uses the plain Hessian eigenvalues, the residual the frame
-    # the steps were taken in.
+    return [_membership(model, cfg, x[sl], iters[sl], converged[sl], start_s0[sl],
+                        end_s0[sl], end_g[sl], end_lam[sl], work)
+            for model, sl in zip(models, map(slice, ends[:-1], ends[1:]))]
+
+
+def _end_eigenvalues(ended, end_s0, end_lam) -> None:
+    """Store the descending eigenvalues of s2 - s0 I of the stopped rows in
+    ``ended``, (rows, s2) pairs, in ``end_lam``, and empty ``ended``.
+
+    Membership uses these plain Hessian eigenvalues, the residual the
+    frame the steps were taken in.  One decomposition serves many step
+    batches; each row's eigenvalues do not depend on the batch.
+    """
+    if ended:
+        rows = np.concatenate([r for r, _ in ended])
+        s2 = np.concatenate([s for _, s in ended])
+        lam = np.linalg.eigvalsh(s2 - end_s0[rows, None, None] * _eye(s2.shape[1]))
+        end_lam[rows] = lam[:, ::-1]
+        ended.clear()
+
+
+def _membership(model: KernelModel, cfg: ScmsConfig, x, iters, converged, start_s0,
+                end_s0, end_g, end_lam, work: _Workspace) -> RidgeSet:
+    """The ridge of one fit from the final state of its mesh rows.
+
+    ``start_s0`` is s0 at each mesh point, and ``end_s0``, ``end_g`` and
+    ``end_lam`` are s0, |g| and the descending eigenvalues of s2 - s0 I at
+    each converged row's last evaluated iterate.
+    """
+    data, h = model.data, model.bandwidth
     x = x[converged]
     iters = iters[converged]
-    s0, s2 = end_s0[converged], end_s2[converged]
+    s0 = end_s0[converged]
     norm = _norm_const(data.n, data.d, h)
     dens = s0 * norm
-    lam = np.linalg.eigvalsh(s2 - s0[:, None, None] * _eye(data.d))[:, ::-1] * (norm / h**2)
+    lam = end_lam[converged] * (norm / h**2)
     pg_norm = dens / h**2 * end_g[converged]
     # In d=1 there is no second eigenvalue; the only one plays its role,
     # so a retained point need only have p'' < 0.  The step is zero there,
@@ -358,7 +485,7 @@ def extract_ridge(data: PointCloud, h: float, cfg: ScmsConfig = ScmsConfig()) ->
 
     # A data mesh starts from every data point, so the first step summed there.
     if cfg.mesh == "data":
-        data_s0 = first_s0
+        data_s0 = start_s0
     else:
         data_s0 = _kernel_sums(data.points, data.points, h, order=0, cells=model.cells,
                                work=work)[0]

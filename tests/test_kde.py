@@ -7,6 +7,7 @@ math.exp, no shared code with the implementation).
 
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -911,12 +912,35 @@ class TestInputRules:
         (lambda: ScmsConfig(tolerance="0.1"), "tolerance must be positive and finite"),
         (lambda: ScmsConfig(mesh="grid", grid_resolution="0.5"),
          "grid_resolution must be positive and finite"),
+        # an integer too large for a float used to raise OverflowError
+        (lambda: KernelModel(_ring(), 10**400), "bandwidth must be positive and finite"),
+        (lambda: KernelModel(_ring(), -10**400), "bandwidth must be positive and finite"),
+        (lambda: ScmsConfig(tolerance=10**400), "tolerance must be positive and finite"),
+        # strings used to be stored, and failed later or reached the outputs
+        (lambda: SyntheticSpec("spiral", n=20, noise_sigma="0.1"),
+         "noise_sigma must be nonnegative and finite, got 0.1"),
+        (lambda: SyntheticSpec("spiral", n=20, noise_sigma=-10**400),
+         "noise_sigma must be nonnegative and finite"),
+        (lambda: ScmsConfig(density_threshold_fraction="0.5"),
+         r"density_threshold_fraction must be in \[0, 1\], got 0.5"),
+        (lambda: ScmsConfig(density_threshold_fraction=np.nan),
+         r"density_threshold_fraction must be in \[0, 1\], got nan"),
     ], ids=["replicates", "workers", "n-fraction", "n-string", "seed-fraction", "m",
             "n_samples", "grid-2d", "h-nan", "h-inf", "tolerance-string",
-            "grid_resolution-string"])
+            "grid_resolution-string", "bandwidth-huge", "bandwidth-huge-negative",
+            "tolerance-huge", "noise_sigma-string", "noise_sigma-huge-negative",
+            "threshold-string", "threshold-nan"])
     def test_refused(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
+
+    def test_real_fields_store_floats(self):
+        spec = SyntheticSpec("spiral", n=20, noise_sigma=np.float32(0.25))
+        assert spec.noise_sigma == 0.25 and type(spec.noise_sigma) is float
+        assert SyntheticSpec("spiral", n=20, noise_sigma=0).noise_sigma == 0.0
+        cfg = ScmsConfig(density_threshold_fraction=np.float32(0.5))
+        assert type(asdict(cfg)["density_threshold_fraction"]) is float
+        assert ScmsConfig(density_threshold_fraction=1).density_threshold_fraction == 1.0
 
     @pytest.mark.parametrize("three", [3, 3.0, np.int64(3), np.uint8(3), np.float32(3.0)])
     def test_integral_counts_accepted(self, three):

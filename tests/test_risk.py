@@ -305,22 +305,76 @@ class TestSelectBandwidth:
 
     @pytest.mark.parametrize("method, fits_per_h", [("split", 2), ("bootstrap", 3)])
     def test_one_map_over_every_fit_of_the_grid(self, monkeypatch, method, fits_per_h):
+        # one map; every fit in exactly one task; the loss-only fits in one
+        # group per worker, and each bootstrap reference alone
         mapped = []
         map_ordered = risk._map_ordered
 
         def recording(fn, tasks, workers):
-            mapped.append((fn, len(tasks)))
-            return map_ordered(fn, tasks, workers)
+            mapped.append((fn, [fits for fits, _ in tasks]))
+            return map_ordered(fn, tasks, 1)
 
         monkeypatch.setattr(risk, "_map_ordered", recording)
+        monkeypatch.setattr(risk.os, "cpu_count", lambda: 2)
         grid = [0.2, 0.25, 0.3]
-        select_bandwidth(ring_cloud(n=120), grid, method=method, replicates=2,
-                         workers=1, rng=np.random.default_rng(0))
-        assert mapped == [(risk._fit_task, fits_per_h * len(grid))]
+        for workers in (1, 2):
+            del mapped[:]
+            select_bandwidth(ring_cloud(n=120), grid, method=method, replicates=2,
+                             workers=workers, rng=np.random.default_rng(0))
+            [(fn, tasks)] = mapped
+            assert fn is risk._fit_task
+            fits = [fit for task in tasks for fit in task]
+            assert len({id(fit) for fit in fits}) == len(fits) == fits_per_h * len(grid)
+            alone = [task for task in tasks if method == "bootstrap" and task[0][2] is None]
+            assert all(len(task) == 1 for task in alone)
+            assert len(alone) == (len(grid) if method == "bootstrap" else 0)
+            assert len(tasks) == len(alone) + workers
+
+    @pytest.mark.parametrize("method", ["split", "bootstrap"])
+    def test_only_bootstrap_references_go_through_extract_ridge(self, monkeypatch, method):
+        # the full-data ridge of each grid h is one extract_ridge call; the
+        # fits that only feed losses are stepped together
+        calls = []
+        fit = risk.extract_ridge
+
+        def recording(data, h, cfg):
+            calls.append((data.points, h))
+            return fit(data, h, cfg)
+
+        monkeypatch.setattr(risk, "extract_ridge", recording)
+        cloud = ring_cloud(n=120)
+        grid = [0.2, 0.25, 0.3]
+        curve = select_bandwidth(cloud, grid, method=method, replicates=2, workers=1,
+                                 rng=np.random.default_rng(0))
+        assert [h for _, h in calls] == (grid if method == "bootstrap" else [])
+        assert all(np.array_equal(points, cloud.points) for points, _ in calls)
+        assert len(curve.entries) == len(grid)
+
+    @pytest.mark.parametrize("method, rows", [("split", 360), ("bootstrap", 720)])
+    def test_groups_bounded_by_mesh_rows(self, monkeypatch, method, rows):
+        # more mesh rows than _GROUP_ROWS: more groups, the same curve
+        cloud, grid = ring_cloud(n=120), [0.2, 0.25, 0.3]
+        kwargs = dict(method=method, replicates=2, workers=1)
+        expected = select_bandwidth(cloud, grid, rng=np.random.default_rng(0), **kwargs)
+        tasks = []
+        fit_task = risk._fit_task
+
+        def recording(args):
+            tasks.append(len(args[0]))
+            return fit_task(args)
+
+        monkeypatch.setattr(risk, "_fit_task", recording)
+        monkeypatch.setattr(risk, "_GROUP_ROWS", rows // 3)
+        curve = select_bandwidth(cloud, grid, rng=np.random.default_rng(0), **kwargs)
+        assert curve.entries == expected.entries
+        # six loss-only fits of rows / 6 mesh rows each: three groups of
+        # two, then the references
+        assert tasks == [2, 2, 2] + ([1, 1, 1] if method == "bootstrap" else [])
 
     def test_pool_capped_at_core_count(self, monkeypatch):
-        # nine fits (three bandwidths, 1 + 2 each) on two cores: 64
-        # workers asked for, a pool of two started
+        # nine fits (three bandwidths, 1 + 2 each) in five tasks (three
+        # references, two groups of draws) on two cores: 64 workers asked
+        # for, a pool of two started
         sizes = []
 
         class InlinePool:

@@ -26,7 +26,7 @@ from ridgecover import (
 )
 import ridgecover.scms as scms_module
 from ridgecover.kde import _CUTOFF, _Cells, _kernel_sums, _Workspace
-from ridgecover.scms import _STEP_CAP, _step_batch, _step_size
+from ridgecover.scms import _STEP_CAP, _extract_ridges, _step_batch, _step_size
 
 
 def ring_cloud(seed=7, n=2000, radius=2.0, sigma=0.2):
@@ -338,6 +338,27 @@ class TestExtractRidgeConsistency:
                 assert orders.count(0) == (cfg.mesh == "grid")
                 assert len(orders) == orders.count(2) + orders.count(0)
 
+    def test_one_order_two_sum_per_step_batch_of_a_group(self, monkeypatch):
+        # fits stepped together share each step's order-2 sum
+        orders, batches = [], []
+        sums, step_batch = scms_module._kernel_sums, scms_module._step_batch
+
+        def recording(points, queries, h, order, **kwargs):
+            orders.append(order)
+            return sums(points, queries, h, order, **kwargs)
+
+        def counting(model, x, **kwargs):
+            batches.append(len(x))
+            return step_batch(model, x, **kwargs)
+
+        monkeypatch.setattr(scms_module, "_kernel_sums", recording)
+        monkeypatch.setattr(scms_module, "_step_batch", counting)
+        monkeypatch.setattr(scms_module, "_STEP_ROWS", 256)
+        cloud = ring_cloud(n=300)
+        ridges = _extract_ridges([(cloud, 0.1), (cloud, 0.4), (cloud, 0.2)], ScmsConfig())
+        assert all(len(ridge) > 0 for ridge in ridges)
+        assert max(batches) == 256 and orders == [2] * len(batches)
+
     def test_diagnostics_are_those_of_the_last_evaluated_iterate(self):
         # The density and p |g| / h^2 are, bit for bit, what the kernel
         # sums give at the retained positions themselves.
@@ -457,6 +478,54 @@ def in_two_threads(task, args, timeout=120.0):
     if errors:
         raise errors[0]
     return results
+
+
+def _ridge_arrays(ridge):
+    return (ridge.positions, ridge.density, ridge.projected_gradient_norm, ridge.lambda2,
+            ridge.iterations, ridge.density_threshold, ridge.bandwidth, ridge.source_size)
+
+
+class TestGroupedFits:
+    """Fits stepped together in one loop get the ridges they get alone."""
+
+    @staticmethod
+    def groups():
+        ring = ring_cloud(n=300)
+        other = ring_cloud(seed=8, n=250, radius=1.5)
+        helix, _ = generate(SyntheticSpec("helix", n=200, noise_sigma=0.1, seed=2))
+        point2, point3 = (PointCloud(np.zeros((5, d))) for d in (2, 3))
+        # truncated and dense models, d = 2 and 3, data and grid meshes, a
+        # shared bandwidth, and a fit whose ridge comes out empty
+        yield ([(ring, 0.1), (other, 0.15), (point2, 0.5), (other, 0.4), (ring, 0.15)],
+               ScmsConfig())
+        yield ([(helix, 0.08), (point3, 0.3), (helix, 2.0)],
+               ScmsConfig(mesh="grid", grid_resolution=0.4))
+
+    def test_group_matches_single_fits_bitwise(self):
+        for fits, cfg in self.groups():
+            paths = {KernelModel(data, h).cells is None for data, h in fits}
+            assert paths == {True, False}
+            grouped = _extract_ridges(fits, cfg)
+            assert len(grouped) == len(fits)
+            assert any(len(ridge) == 0 for ridge in grouped)
+            assert sum(len(ridge) > 0 for ridge in grouped) >= 2
+            for (data, h), ridge in zip(fits, grouped):
+                for a, b in zip(_ridge_arrays(ridge), _ridge_arrays(extract_ridge(data, h, cfg))):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_row_block_size_changes_no_bit(self, monkeypatch):
+        for fits, cfg in self.groups():
+            default = _extract_ridges(fits, cfg)
+            monkeypatch.setattr(scms_module, "_STEP_ROWS", 7)
+            for a, b in zip(default, _extract_ridges(fits, cfg)):
+                for x, y in zip(_ridge_arrays(a), _ridge_arrays(b)):
+                    np.testing.assert_array_equal(x, y)
+            monkeypatch.undo()
+
+    def test_mixed_dimensions_refused(self):
+        helix, _ = generate(SyntheticSpec("helix", n=50, seed=2))
+        with pytest.raises(ValueError, match="one dimension"):
+            _extract_ridges([(ring_cloud(n=50), 0.3), (helix, 0.3)])
 
 
 class TestThreads:
